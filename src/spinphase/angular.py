@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "SpinDimension",
@@ -138,6 +137,10 @@ def eigendecompose(op: np.ndarray) -> EigenBasis:
     the phases are then restored on the eigenvectors.  Each eigenvector is
     gauge-fixed so its largest-magnitude entry is real positive.
     """
+    # Imported here so that importing the package (and the CLI) does not pay
+    # for scipy.linalg; only callers that build a spin basis need it.
+    from scipy.linalg import eigh_tridiagonal
+
     op = np.asarray(op)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {op.shape}")

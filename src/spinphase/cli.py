@@ -20,7 +20,7 @@ import numpy as np
 from .angular import SpinDimension, jy_eigenbasis
 from .bench import cache_directory, default_grid_size, run_bench
 from .fourier import derivative_coefficients, fourier_coefficients_method_c
-from .gridfile import load_matrix, write_grid, write_grid_csv
+from .gridfile import GridFileError, load_matrix, write_grid, write_grid_csv
 from .kcache import CacheError, fourier_coefficients_method_d, open_cache, precompute_cache
 from .parity import ParityOverflowError, build_parity
 from .sampling import PhaseSpaceGrid, direct_grid, method_b_grid, sample_fft, window_extract
@@ -135,20 +135,13 @@ def _emit_grid(args, grid: PhaseSpaceGrid, description: str, out=None) -> None:
         print(f"wrote {out} (d={grid.dim.d}, s={grid.s}, n={grid.n}, "
               f"method={grid.method})")
         return
-    stream = open(out, "w") if out is not None else sys.stdout
-    try:
-        if window is None:
-            write_grid_csv(stream, grid)
-        else:
-            stream.write("theta,phi,re,im\n")
-            for i, theta in enumerate(window.thetas):
-                for jj, phi in enumerate(window.phis):
-                    v = window.values[i, jj]
-                    stream.write(f"{theta:.17g},{phi:.17g},{v.real:.17g},{v.imag:.17g}\n")
-    finally:
-        if out is not None:
-            stream.close()
-            print(f"wrote {out}")
+    rows = grid if window is None else window
+    if out is None:
+        write_grid_csv(sys.stdout, rows)
+        return
+    with open(out, "w") as stream:
+        write_grid_csv(stream, rows)
+    print(f"wrote {out}")
 
 
 def cmd_precompute(args) -> int:
@@ -280,7 +273,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, CacheError, ParityOverflowError, OverflowError, ValueError) as exc:
+    except (CliError, CacheError, GridFileError, ParityOverflowError, OverflowError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .angular import SpinDimension
-from .sampling import PhaseSpaceGrid
+from .sampling import GridWindow, PhaseSpaceGrid
 
 __all__ = [
     "GridFileError",
@@ -112,18 +112,26 @@ def read_matrix(path) -> np.ndarray:
     return values
 
 
-def write_grid_csv(stream, grid: PhaseSpaceGrid) -> None:
-    """Rows of ``theta,phi,re,im`` with 17 significant digits."""
-    thetas = grid.thetas()
-    phis = grid.phis()
+def write_grid_csv(stream, grid: PhaseSpaceGrid | GridWindow) -> None:
+    """Rows of ``theta,phi,re,im`` with 17 significant digits.
+
+    Accepts a full grid or a ``window_extract`` window.  Each theta row is
+    encoded as one string: the phi columns are formatted once into a row
+    template, which a single ``%`` fills with the row's interleaved (re, im)
+    floats.  ``%.17g`` matches ``f"{x:.17g}"`` byte for byte on float64 and
+    never emits a ``%``, so the output is the per-sample format.
+    """
+    if isinstance(grid, GridWindow):
+        thetas, phis = grid.thetas, grid.phis
+    else:
+        thetas, phis = grid.thetas(), grid.phis()
+    tail = [f",{phi:.17g},%.17g,%.17g\n" for phi in phis]
     write = stream.write
     write("theta,phi,re,im\n")
-    for k in range(grid.n):
-        row = grid.values[k]
-        tk = thetas[k]
-        for l in range(grid.n):
-            v = row[l]
-            write(f"{tk:.17g},{phis[l]:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    for theta, row in zip(thetas, grid.values):
+        t = f"{theta:.17g}"
+        reim = np.ascontiguousarray(row, dtype=np.complex128).view(np.float64)
+        write((t + t.join(tail)) % tuple(reim.tolist()))
 
 
 def read_grid_csv(stream):

@@ -13,6 +13,7 @@ payload bytes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .angular import EigenBasis, SpinDimension, jy_eigenbasis
-from .fourier import FourierTable, _diag_sum_plan, _k_matrix, accumulate_row
+from .fourier import (_PAIRWISE_THRESHOLD, FourierTable, _diag_sum_plan, _k_matrix,
+                      accumulate_row)
 from .parity import ParityOperator, build_parity, transform_parity
 
 __all__ = [
@@ -74,6 +76,17 @@ def _write_record(path: Path, d: int, s: float, ell: int, payload: bytes) -> int
     return crc
 
 
+def _write_manifest(path: Path, manifest: dict) -> None:
+    """Replace the manifest atomically: a crash leaves the old file or none."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(manifest, indent=1))
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise CacheError(f"failed to write manifest {path}: {exc}") from exc
+
+
 def _read_record(path: Path, d: int, s: float, ell: int) -> np.ndarray:
     """Payload of one verified record as a flat complex array."""
     try:
@@ -119,6 +132,10 @@ class KCache:
         except FileNotFoundError:
             raise CacheIncompleteError(
                 f"no manifest in {self.directory}; cache is incomplete or absent") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CacheIncompleteError(
+                f"manifest in {self.directory} is unreadable ({exc}); "
+                "cache is incomplete") from None
         if not manifest.get("complete", False):
             raise CacheIncompleteError(f"cache in {self.directory} is flagged incomplete")
         if manifest["d"] != self.d or float(manifest["s"]) != self.s:
@@ -240,7 +257,7 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
     records = [kept[ell] for ell in all_ells]
     manifest = {"format_version": FORMAT_VERSION, "d": dim.d, "s": repr(s),
                 "records": records, "complete": True}
-    cache.manifest_path.write_text(json.dumps(manifest, indent=1))
+    _write_manifest(cache.manifest_path, manifest)
     cache.last_action = "written" if stale is None or force else "repaired"
     return cache
 
@@ -279,7 +296,7 @@ def fourier_coefficients_method_d(rho: np.ndarray, cache: KCache) -> FourierTabl
     if listed != expected:
         raise CacheIncompleteError(
             f"cache lists {len(listed)} K records, expected {len(expected)}")
-    plan = _diag_sum_plan(dim.d) if dim.d <= 256 else None
+    plan = _diag_sum_plan(dim.d) if dim.d <= _PAIRWISE_THRESHOLD else None
     coeffs = np.zeros((2 * two_j + 1, 2 * two_j + 1), dtype=complex)
     for rec in manifest["records"]:
         ell = rec["ell"]

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import spinphase
 from spinphase.angular import SpinDimension
 from spinphase.cli import main
 from spinphase.gridfile import read_grid, read_grid_csv, write_matrix
@@ -75,6 +81,36 @@ def test_compute_from_matrix_file_matches_state(tmp_path, capsys):
     with open(out_b) as fh:
         _, _, vb = read_grid_csv(fh)
     assert np.array_equal(va, vb)
+
+
+def test_truncated_input_is_an_error_not_a_traceback(tmp_path, capsys):
+    mfile = tmp_path / "rho.bin"
+    write_matrix(mfile, random_density(SpinDimension.from_d(4), 1))
+    mfile.write_bytes(mfile.read_bytes()[:-20])
+    assert run("compute", "--input", mfile, "--dim", 4, "--n", 12,
+               "--method", "c") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_unwritable_out_is_an_error_and_reports_no_write(tmp_path, capsys, fmt):
+    out = tmp_path / "missing" / f"g.{fmt}"
+    assert run("compute", "--state", "ghz", "--dim", 4, "--n", 12,
+               "--method", "c", "--format", fmt, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "missing" in captured.err
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    src = str(Path(spinphase.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    probe = "import sys, spinphase.cli; print('scipy.linalg' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_csv_and_binary_outputs_decode_identically(tmp_path):

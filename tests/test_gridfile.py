@@ -9,7 +9,7 @@ from spinphase.gridfile import (GridFileError, load_matrix, read_grid, read_grid
                                 read_matrix, read_matrix_csv, write_grid,
                                 write_grid_csv, write_matrix, write_matrix_csv)
 from spinphase.parity import build_parity
-from spinphase.sampling import sample_fft
+from spinphase.sampling import PhaseSpaceGrid, sample_fft, window_extract
 from spinphase.states import random_density
 
 
@@ -39,6 +39,41 @@ def test_csv_roundtrip_within_print_precision(grid):
     assert np.array_equal(thetas, np.unique(grid.thetas()))
     scale = np.abs(grid.values).max()
     assert np.abs(values - grid.values).max() < 1e-16 * scale
+
+
+def _reference_csv(thetas, phis, values) -> str:
+    """The per-sample formatter the row encoder must reproduce byte for byte."""
+    lines = ["theta,phi,re,im\n"]
+    for k, theta in enumerate(thetas):
+        for l, phi in enumerate(phis):
+            v = values[k, l]
+            lines.append(f"{theta:.17g},{phi:.17g},{v.real:.17g},{v.imag:.17g}\n")
+    return "".join(lines)
+
+
+def test_csv_bytes_match_per_sample_format_on_extreme_values():
+    n = 6
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, -5e-324, -1e308]
+    values = np.random.default_rng(4).standard_normal((n, n, 2)) * 1e-7
+    values = values[..., 0] + 1j * values[..., 1]
+    for i, x in enumerate(special):
+        values[0, i % n] = complex(x, special[-1 - i])
+        values[1 + i % (n - 1), i % n] = complex(special[-1 - i], x)
+    grid = PhaseSpaceGrid(dim=SpinDimension.from_d(2), s=0.0, n=n,
+                          values=values, method="c")
+    buf = io.StringIO()
+    write_grid_csv(buf, grid)
+    assert buf.getvalue() == _reference_csv(grid.thetas(), grid.phis(), values)
+    for token in ("-0,", "nan", "inf", "-inf", "4.9406564584124654e-324", "1e+308"):
+        assert token in buf.getvalue()
+
+
+def test_csv_bytes_match_per_sample_format_on_window(grid):
+    window = window_extract(grid, 1.3, (0.4, 3.5))
+    assert 0 < window.values.shape[0] < grid.n and 0 < window.values.shape[1] < grid.n
+    buf = io.StringIO()
+    write_grid_csv(buf, window)
+    assert buf.getvalue() == _reference_csv(window.thetas, window.phis, window.values)
 
 
 def test_corrupted_payload_detected(grid, tmp_path):

@@ -103,6 +103,17 @@ def test_missing_manifest_is_incomplete(tmp_path):
         open_cache(tmp_path, 10, 0.0)
 
 
+def test_truncated_manifest_is_incomplete_and_rebuilt(cache10):
+    path = cache10.manifest_path
+    path.write_text(path.read_text()[:40])
+    with pytest.raises(CacheIncompleteError, match="manifest"):
+        open_cache(cache10.directory, 10, 0.0)
+    rebuilt = precompute_cache(SpinDimension.from_d(10), 0.0, cache10.directory)
+    assert rebuilt.last_action == "written"
+    assert open_cache(cache10.directory, 10, 0.0).manifest()["complete"]
+    assert [p.name for p in cache10.directory.iterdir() if p.suffix == ".tmp"] == []
+
+
 def test_mismatched_parameters_are_rejected(cache10):
     with pytest.raises(CacheMismatchError):
         open_cache(cache10.directory, 10, -1.0)
