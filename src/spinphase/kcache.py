@@ -77,7 +77,7 @@ def _write_record(path: Path, d: int, s: float, ell: int, payload: bytes) -> int
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:
-    """Replace the manifest atomically: a crash leaves the old file or none."""
+    """Write via a temp file and ``os.replace`` so no reader sees a partial manifest."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(json.dumps(manifest, indent=1))

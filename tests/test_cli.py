@@ -104,9 +104,7 @@ def test_unwritable_out_is_an_error_and_reports_no_write(tmp_path, capsys, fmt):
 
 
 def test_cli_import_does_not_load_scipy_linalg():
-    src = str(Path(spinphase.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env = dict(os.environ, PYTHONPATH=str(Path(spinphase.__file__).resolve().parents[1]))
     probe = "import sys, spinphase.cli; print('scipy.linalg' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, timeout=120, check=True)
