@@ -17,6 +17,7 @@ from .parity import (ParityOperator, ParityOverflowError, TransformedParity,
 from .sampling import (GridWindow, PhaseSpaceGrid, direct_eval, direct_grid,
                        eval_series, method_b_grid, minimal_grid_size, sample_fft,
                        sample_fft_full, window_extract)
-from .states import coherent, dicke, ghz, maximally_mixed, random_density, squeezed
+from .states import (as_density_matrix, coherent, dicke, ghz, maximally_mixed,
+                     random_density, squeezed)
 
 __version__ = "0.1.0"

@@ -129,18 +129,99 @@ def build_spin_operator(dim: SpinDimension, axis: str) -> np.ndarray:
     return op
 
 
+def _symmetric_tridiagonal(main: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Dense real symmetric matrix with diagonal ``main`` and off-diagonal ``off``."""
+    return np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _reversal_split_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the zero-diagonal tridiagonal matrix T with palindromic ``off``.
+
+    T commutes with index reversal, so every eigenvector is even or odd under
+    it.  Each parity sector is a half-size tridiagonal matrix; two dense
+    solves of size d/2 replace one of size d.
+    """
+    d = off.size + 1
+    p = d // 2
+    inner = off[: p - 1]
+    edge = off[p - 1]  # the coupling that crosses the centre of the chain
+    if d % 2 == 0:
+        # x = (y, +-reversed y): the coupling across the centre feeds +-edge
+        # back into y[p-1].
+        even = _symmetric_tridiagonal(np.zeros(p), inner)
+        odd = even.copy()
+        even[p - 1, p - 1] = edge
+        odd[p - 1, p - 1] = -edge
+    else:
+        # Even: x = (y, z, reversed y), the middle entry z coupled with weight
+        # sqrt(2) in the normalized basis; odd: x = (y, 0, -reversed y).
+        even = _symmetric_tridiagonal(np.zeros(p + 1), np.append(inner, math.sqrt(2.0) * edge))
+        odd = _symmetric_tridiagonal(np.zeros(p), inner)
+    w_even, y_even = np.linalg.eigh(even)
+    w_odd, y_odd = np.linalg.eigh(odd)
+
+    vectors = np.zeros((d, d))
+    n_even = w_even.size
+    top_even = y_even[:p] / math.sqrt(2.0)
+    vectors[:p, :n_even] = top_even
+    vectors[d - p:, :n_even] = top_even[::-1]
+    if d % 2:
+        vectors[p, :n_even] = y_even[p]
+    top_odd = y_odd / math.sqrt(2.0)
+    vectors[:p, n_even:] = top_odd
+    vectors[d - p:, n_even:] = -top_odd[::-1]
+
+    eigenvalues = np.concatenate([w_even, w_odd])
+    order = np.argsort(eigenvalues)
+    return eigenvalues[order], vectors[:, order]
+
+
+def _tridiagonal_eigh(main: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a real symmetric tridiagonal matrix.
+
+    J_x and J_y (after the phase similarity) have a zero diagonal and a
+    palindromic off-diagonal and take the reversal split; any other matrix,
+    such as a diagonal J_z or a rotated n.J, is solved densely.
+    """
+    if not main.any() and np.array_equal(off, off[::-1]):
+        return _reversal_split_eigh(off)
+    return np.linalg.eigh(_symmetric_tridiagonal(main, off))
+
+
+def _basis_from_tridiagonal(dim: SpinDimension, main: np.ndarray, off: np.ndarray,
+                            phases: np.ndarray) -> EigenBasis:
+    """Eigenbasis of diag(phases) T diag(phases)^* for the real tridiagonal T = (main, off).
+
+    ``phases`` have unit modulus.  Each eigenvector is gauge-fixed so its
+    largest-magnitude entry is real positive.
+    """
+    d = dim.d
+    w, v = _tridiagonal_eigh(main, off)
+    expected = -dim.j + np.arange(d)
+    if np.abs(w - expected).max() > 1e-9 * max(1.0, dim.j):
+        raise ValueError("spectrum is not the arithmetic sequence -J..J")
+
+    # Gauge fix on the real vectors: the phases have unit modulus, so the
+    # largest-magnitude entry of each column is found before they are applied.
+    lead = np.argmax(np.abs(v), axis=0)
+    column_phases = np.sign(v[lead, np.arange(d)]) * phases[lead].conj()
+    vectors = phases[:, None] * v
+    vectors *= column_phases
+
+    eigenvalues = expected.astype(float)
+    eigenvalues.setflags(write=False)
+    vectors.setflags(write=False)
+    return EigenBasis(dim=dim, eigenvalues=eigenvalues, vectors=vectors)
+
+
 def eigendecompose(op: np.ndarray) -> EigenBasis:
-    """Diagonalize a Hermitian tridiagonal spin component (J_x or J_y).
+    """Diagonalize a Hermitian tridiagonal spin component (J_x, J_y, J_z, n.J).
 
     A diagonal phase similarity maps the matrix to a real symmetric
-    tridiagonal one, which is solved with the dedicated LAPACK routine;
-    the phases are then restored on the eigenvectors.  Each eigenvector is
-    gauge-fixed so its largest-magnitude entry is real positive.
+    tridiagonal one, which is diagonalized with NumPy; the phases are then
+    restored on the eigenvectors.  Each eigenvector is gauge-fixed so its
+    largest-magnitude entry is real positive.
     """
-    # Imported here so that importing the package (and the CLI) does not pay
-    # for scipy.linalg; only callers that build a spin basis need it.
-    from scipy.linalg import eigh_tridiagonal
-
     op = np.asarray(op)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {op.shape}")
@@ -162,28 +243,25 @@ def eigendecompose(op: np.ndarray) -> EigenBasis:
             phases[k + 1] = phases[k]
         else:
             phases[k + 1] = phases[k] * e / abs(e)
-    w, v = eigh_tridiagonal(main, np.abs(off))
-    vectors = phases[:, None] * v.astype(complex)
-
-    expected = -dim.j + np.arange(d)
-    if np.abs(w - expected).max() > 1e-9 * max(1.0, dim.j):
-        raise ValueError("spectrum is not the arithmetic sequence -J..J")
-
-    # Gauge fix: largest-magnitude component of each column real positive.
-    lead = np.argmax(np.abs(vectors), axis=0)
-    lead_vals = vectors[lead, np.arange(d)]
-    vectors *= np.where(np.abs(lead_vals) > 0, np.abs(lead_vals) / lead_vals, 1.0)
-
-    eigenvalues = expected.astype(float)
-    eigenvalues.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenBasis(dim=dim, eigenvalues=eigenvalues, vectors=vectors)
+    return _basis_from_tridiagonal(dim, main, np.abs(off), phases)
 
 
 @lru_cache(maxsize=64)
 def _cached_basis(two_j: int, axis: str) -> EigenBasis:
+    """J_x or J_y basis built straight from the ladder coefficients.
+
+    The operator is known to be Hermitian and tridiagonal, so the checks
+    of ``eigendecompose`` are skipped; the phases are those its similarity
+    computes: +1 on every sub-diagonal step for J_x, +i for J_y.
+    """
     dim = SpinDimension(two_j)
-    return eigendecompose(build_spin_operator(dim, axis))
+    if axis == "x":
+        phases = np.ones(dim.d, dtype=complex)
+    elif axis == "y":
+        phases = np.array([1, 1j, -1, -1j])[np.arange(dim.d) % 4]
+    else:
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    return _basis_from_tridiagonal(dim, np.zeros(dim.d), _ladder_coeffs(dim) / 2.0, phases)
 
 
 def jy_eigenbasis(dim: SpinDimension) -> EigenBasis:

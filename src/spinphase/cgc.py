@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import SpinDimension, as_two
+from .states import as_density_matrix
 
 __all__ = [
     "clebsch_gordan",
@@ -393,8 +394,8 @@ def method_b_eval(rho: np.ndarray, s: float, theta: float, phi: float,
     """
     from .parity import log_gamma_j, sphere_radius, validate_s
 
-    rho = np.asarray(rho, dtype=complex)
-    dim = SpinDimension.from_d(rho.shape[0])
+    dim = SpinDimension.from_d(np.shape(rho)[0])
+    rho = as_density_matrix(rho, dim)
     validate_s(dim, s)
     if coeffs is None:
         coeffs = expansion_coefficients(rho, table)

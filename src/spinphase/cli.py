@@ -272,7 +272,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``), which is normal use.
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # raise a second BrokenPipeError (recipe from the ``signal`` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (CliError, CacheError, GridFileError, ParityOverflowError, OverflowError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .angular import EigenBasis, SpinDimension, jy_eigenbasis
 from .parity import ParityOperator, TransformedParity, transform_parity
+from .states import as_density_matrix
 
 __all__ = [
     "KMatrix",
@@ -125,10 +126,8 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator,
 
     O(d^4) time, O(d^2) memory: one K matrix exists at a time.
     """
-    rho = np.asarray(rho, dtype=complex)
     dim = parity.dim
-    if rho.shape != (dim.d, dim.d):
-        raise ValueError(f"density matrix shape {rho.shape} does not match d = {dim.d}")
+    rho = as_density_matrix(rho, dim)
     if basis is None:
         basis = jy_eigenbasis(dim)
     mtilde = transform_parity(parity, basis).matrix

@@ -26,6 +26,7 @@ from .angular import EigenBasis, SpinDimension, jy_eigenbasis
 from .fourier import (_PAIRWISE_THRESHOLD, FourierTable, _diag_sum_plan, _k_matrix,
                       accumulate_row)
 from .parity import ParityOperator, build_parity, transform_parity
+from .states import as_density_matrix
 
 __all__ = [
     "CacheError",
@@ -101,8 +102,8 @@ def _read_record(path: Path, d: int, s: float, ell: int) -> np.ndarray:
     if rec_d != d or rec_ell != ell or rec_s != s:
         raise CacheMismatchError(
             f"record {path.name} was written for d={rec_d}, s={rec_s}, ell={rec_ell}")
-    payload = raw[_HEADER.size:-4]
-    (crc,) = struct.unpack("<I", raw[-4:])
+    payload = memoryview(raw)[_HEADER.size:-4]  # a view: records are hundreds of kB
+    (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(payload) != crc:
         label = "companion" if ell == COMPANION_ELL else f"ell = {ell}"
         raise CacheCorruptError(f"checksum mismatch in cache record for {label}", ell=ell)
@@ -262,17 +263,6 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
     return cache
 
 
-def verify_cache(cache: KCache) -> None:
-    """Re-read every record and compare checksums; raises on any defect."""
-    manifest = cache.manifest()
-    for rec in manifest["records"]:
-        flat = _read_record(cache.directory / rec["file"], cache.d, cache.s, rec["ell"])
-        expected = cache.d * cache.d + (cache.d if rec["ell"] == COMPANION_ELL else 0)
-        if flat.size != expected:
-            raise CacheCorruptError(f"record {rec['file']} has wrong payload size",
-                                    ell=rec["ell"])
-
-
 def open_cache(directory, d: int, s: float) -> KCache:
     cache = KCache(directory=Path(directory), d=int(d), s=float(s))
     cache.manifest()
@@ -285,10 +275,8 @@ def fourier_coefficients_method_d(rho: np.ndarray, cache: KCache) -> FourierTabl
     O(d^3) total work and O(d^2) memory; every record is checksum-verified
     as it is read, so a corrupted cache fails loudly before any output.
     """
-    rho = np.asarray(rho, dtype=complex)
     dim = cache.dim
-    if rho.shape != (dim.d, dim.d):
-        raise ValueError(f"density matrix shape {rho.shape} does not match d = {cache.d}")
+    rho = as_density_matrix(rho, dim)
     manifest = cache.manifest()
     two_j = dim.two_j
     expected = set(range(-two_j, two_j + 1))

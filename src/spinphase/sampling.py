@@ -16,6 +16,7 @@ from .cgc import (CoefficientTable, TensorOperatorTable, expansion_coefficients,
                   harmonic_theta_sums)
 from .fourier import FourierTable
 from .parity import ParityOperator, log_gamma_j, sphere_radius, validate_s
+from .states import as_density_matrix
 
 __all__ = [
     "PhaseSpaceGrid",
@@ -132,10 +133,8 @@ def direct_eval(rho: np.ndarray, parity: ParityOperator, theta: float, phi: floa
     Dense matrix algebra, O(d^3) per point; used to validate every faster
     path, never for production grids.
     """
-    rho = np.asarray(rho, dtype=complex)
     dim = parity.dim
-    if rho.shape != (dim.d, dim.d):
-        raise ValueError(f"density matrix shape {rho.shape} does not match d = {dim.d}")
+    rho = as_density_matrix(rho, dim)
     r = rotation_operator(dim, theta, phi, basis)
     rotated = (r * parity.diag) @ r.conj().T
     return complex(np.sum(rho * rotated.T))
@@ -148,8 +147,8 @@ def direct_grid(rho: np.ndarray, parity: ParityOperator, n: int,
     Reuses one Wigner-d conjugation per theta row; the phi sweep is a
     diagonal-phase quadratic form, still plain dense linear algebra.
     """
-    rho = np.asarray(rho, dtype=complex)
     dim = parity.dim
+    rho = as_density_matrix(rho, dim)
     n = _check_grid_size(dim, n)
     if basis is None:
         basis = jy_eigenbasis(dim)
@@ -173,8 +172,8 @@ def method_b_grid(rho: np.ndarray, s: float, n: int,
     Same expansion as method_b_eval, vectorized over the grid; no FFT is
     involved, so this cross-checks the Fourier pipeline end to end.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dim = SpinDimension.from_d(rho.shape[0])
+    dim = SpinDimension.from_d(np.shape(rho)[0])
+    rho = as_density_matrix(rho, dim)
     n = _check_grid_size(dim, n)
     s = validate_s(dim, s, allow_extended_s)
     if coeffs is None:

@@ -12,6 +12,7 @@ import numpy as np
 from .angular import SpinDimension, jx_eigenbasis, rotation_operator
 
 __all__ = [
+    "as_density_matrix",
     "ghz",
     "dicke",
     "squeezed",
@@ -19,6 +20,21 @@ __all__ = [
     "maximally_mixed",
     "random_density",
 ]
+
+
+def as_density_matrix(rho, dim: SpinDimension) -> np.ndarray:
+    """``rho`` as a complex d x d array, checked to be finite.
+
+    Every route from rho to phase-space values validates its input here, so
+    a wrong shape or a NaN or infinite entry fails with ValueError instead
+    of yielding NaN values.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim.d, dim.d):
+        raise ValueError(f"density matrix shape {rho.shape} does not match d = {dim.d}")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite (NaN or infinite) entries")
+    return rho
 
 
 def _pure(psi: np.ndarray) -> np.ndarray:

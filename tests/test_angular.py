@@ -3,8 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from spinphase.angular import (EigenBasis, SpinDimension, am_analytic,
-                               build_spin_operator, eigendecompose, jy_eigenbasis,
-                               projector_am, rotation_operator, wigner_d)
+                               build_spin_operator, eigendecompose, jx_eigenbasis,
+                               jy_eigenbasis, projector_am, rotation_operator, wigner_d)
 
 DIMS = [2, 3, 4, 5, 8, 11, 16]
 
@@ -53,6 +53,46 @@ def test_unitarity_and_completeness(d):
     assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-12
     total = sum(projector_am(basis, m) for m in dim.m_values())
     assert np.abs(total - np.eye(d)).max() < 1e-12
+
+
+def _tie_robust_gauge(vectors):
+    """Columns scaled so the first entry within 1e-8 of the largest magnitude
+    is real positive; mirror entries of equal size then pick the same one
+    whatever their last-bit difference."""
+    mags = np.abs(vectors)
+    lead = np.argmax(mags >= mags.max(axis=0) * (1 - 1e-8), axis=0)
+    lead_vals = vectors[lead, np.arange(vectors.shape[1])]
+    return vectors * (np.abs(lead_vals) / lead_vals)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("d", [2, 3, 4, 7, 64, 199, 200, 321, 400])
+def test_basis_matches_dense_hermitian_solver(d, axis):
+    dim = SpinDimension.from_d(d)
+    basis = (jx_eigenbasis if axis == "x" else jy_eigenbasis)(dim)
+    u = basis.vectors
+    assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-14
+    op = build_spin_operator(dim, axis)
+    w, ref = np.linalg.eigh(op)
+    assert np.abs(w - basis.eigenvalues).max() < 1e-12 * d
+    assert np.abs(_tie_robust_gauge(u) - _tie_robust_gauge(ref)).max() < 1e-13
+    # The public entry point takes the same route from the dense operator.
+    assert np.abs(eigendecompose(op).vectors - u).max() < 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 5, 12])
+def test_eigendecompose_accepts_non_palindromic_components(d):
+    dim = SpinDimension.from_d(d)
+    theta, phi = 0.7, 1.9
+    n_dot_j = (np.sin(theta) * np.cos(phi) * build_spin_operator(dim, "x")
+               + np.sin(theta) * np.sin(phi) * build_spin_operator(dim, "y")
+               + np.cos(theta) * build_spin_operator(dim, "z"))
+    for op in (build_spin_operator(dim, "z"), n_dot_j):
+        basis = eigendecompose(op)
+        assert np.array_equal(basis.eigenvalues, -dim.j + np.arange(d))
+        u = basis.vectors
+        assert np.abs(op @ u - u * basis.eigenvalues).max() < 1e-12
+        assert np.abs(u.conj().T @ u - np.eye(d)).max() < 1e-13
 
 
 def test_eigendecompose_rejects_non_hermitian():

@@ -83,6 +83,19 @@ def test_compute_from_matrix_file_matches_state(tmp_path, capsys):
     assert np.array_equal(va, vb)
 
 
+@pytest.mark.parametrize("method", ["c", "b", "direct"])
+def test_non_finite_input_matrix_is_an_error(tmp_path, capsys, method):
+    rho = np.eye(2, dtype=complex) / 2.0
+    rho[0, 1] = np.nan
+    mfile = tmp_path / "rho.bin"
+    write_matrix(mfile, rho)
+    assert run("compute", "--input", mfile, "--dim", 2, "--n", 4,
+               "--method", method) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "non-finite" in captured.err
+    assert captured.out == ""
+
+
 def test_truncated_input_is_an_error_not_a_traceback(tmp_path, capsys):
     mfile = tmp_path / "rho.bin"
     write_matrix(mfile, random_density(SpinDimension.from_d(4), 1))
@@ -103,12 +116,51 @@ def test_unwritable_out_is_an_error_and_reports_no_write(tmp_path, capsys, fmt):
     assert not out.exists()
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=str(Path(spinphase.__file__).resolve().parents[1]))
+
+
 def test_cli_import_does_not_load_scipy_linalg():
-    env = dict(os.environ, PYTHONPATH=str(Path(spinphase.__file__).resolve().parents[1]))
     probe = "import sys, spinphase.cli; print('scipy.linalg' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, timeout=120, check=True)
+    result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    # squeezed states need the J_x basis as well as the J_y one
+    ["compute", "--state", "squeezed", "--param", "xi=0.3", "--dim", 9, "--n", 32,
+     "--method", "c", "--format", "bin", "--out", "{tmp}/g.bin"],
+    ["precompute", "--dim", 6, "--s", 0, "--out", "{tmp}/cache"],
+])
+def test_cli_commands_load_no_scipy(tmp_path, argv):
+    probe = ("import sys\n"
+             "from spinphase.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    args = [str(a).format(tmp=tmp_path) for a in argv]
+    result = subprocess.run([sys.executable, "-c", probe, *args], env=_child_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.splitlines()[-1] == "0 []"
+
+
+def test_closed_stdout_exits_quietly():
+    # 512^2 CSV rows are far more than a pipe buffer holds, so the child
+    # writes into the closed pipe.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "spinphase.cli", "compute", "--state", "ghz",
+         "--dim", "9", "--n", "512"],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert child.stdout.readline() == b"theta,phi,re,im\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=120) == 1
+    finally:
+        child.kill()
+        child.wait()
+        child.stderr.close()
+    assert err == b""
 
 
 def test_csv_and_binary_outputs_decode_identically(tmp_path):

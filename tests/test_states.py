@@ -3,10 +3,13 @@ import pytest
 from scipy.linalg import expm
 
 from spinphase.angular import SpinDimension, build_spin_operator
+from spinphase.cgc import method_b_eval
 from spinphase.fourier import fourier_coefficients_method_c
+from spinphase.kcache import fourier_coefficients_method_d, precompute_cache
 from spinphase.parity import build_parity
-from spinphase.sampling import minimal_grid_size, sample_fft
-from spinphase.states import (coherent, dicke, ghz, maximally_mixed,
+from spinphase.sampling import (direct_eval, direct_grid, method_b_grid, minimal_grid_size,
+                                sample_fft)
+from spinphase.states import (as_density_matrix, coherent, dicke, ghz, maximally_mixed,
                               random_density, squeezed)
 
 
@@ -143,3 +146,36 @@ def test_maximally_mixed():
     rho = maximally_mixed(SpinDimension.from_d(5))
     _assert_density(rho)
     assert np.abs(rho - np.eye(5) / 5).max() == 0.0
+
+
+def test_as_density_matrix_checks_shape_and_values():
+    dim = SpinDimension.from_d(3)
+    rho = as_density_matrix(np.eye(3) / 3, dim)
+    assert rho.dtype == complex and rho.shape == (3, 3)
+    with pytest.raises(ValueError, match="does not match d = 3"):
+        as_density_matrix(np.eye(4) / 4, dim)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        rho = np.eye(3, dtype=complex) / 3
+        rho[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            as_density_matrix(rho, dim)
+
+
+@pytest.mark.parametrize("route", ["c", "d", "direct_grid", "direct_eval", "b_grid",
+                                   "b_eval"])
+def test_grid_routes_reject_non_finite_rho(tmp_path, route):
+    dim = SpinDimension.from_d(2)
+    parity = build_parity(dim, 0.0)
+    rho = maximally_mixed(dim)
+    rho[0, 1] = np.nan
+    calls = {
+        "c": lambda: fourier_coefficients_method_c(rho, parity),
+        "d": lambda: fourier_coefficients_method_d(
+            rho, precompute_cache(dim, 0.0, tmp_path / "cache")),
+        "direct_grid": lambda: direct_grid(rho, parity, 4),
+        "direct_eval": lambda: direct_eval(rho, parity, 0.3, 0.4),
+        "b_grid": lambda: method_b_grid(rho, 0.0, 4),
+        "b_eval": lambda: method_b_eval(rho, 0.0, 0.3, 0.4),
+    }
+    with pytest.raises(ValueError, match="non-finite"):
+        calls[route]()
