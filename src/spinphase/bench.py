@@ -59,7 +59,7 @@ class BenchRow:
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
     slopes: dict = field(default_factory=dict)
-    repetitions: int = 3
+    thread_pin: str = "unavailable"  # or "applied", "lifted"
 
     def to_csv(self, stream) -> None:
         stream.write("method,d,time_s,fft_s,peak_mem_mb,status\n")
@@ -68,6 +68,7 @@ class BenchReport:
                          f"{row.peak_mem_mb:.6g},{row.status}\n")
         for method, slope in sorted(self.slopes.items()):
             stream.write(f"# loglog_slope {method} {slope:.4f}\n")
+        stream.write(f"# thread_pin {self.thread_pin}\n")
 
 
 def _median_time(func, repetitions: int) -> float:
@@ -89,14 +90,14 @@ def _peak_mb(func) -> float:
 
 
 def _thread_limiter(parallel: bool):
-    """Single-thread pin for reproducible timings; a flag lifts it."""
+    """Single-thread pin for reproducible timings (a flag lifts it), and its state."""
     if parallel:
-        return nullcontext()
+        return nullcontext(), "lifted"
     try:
         from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=1)
     except ImportError:
-        return nullcontext()
+        return nullcontext(), "unavailable"
+    return threadpool_limits(limits=1), "applied"
 
 
 def run_bench(dims, methods=("c", "d"), repetitions: int = 3, s: float = 0.0,
@@ -114,8 +115,9 @@ def run_bench(dims, methods=("c", "d"), repetitions: int = 3, s: float = 0.0,
     if repetitions < 3:
         raise ValueError("medians need at least 3 repetitions")
 
-    report = BenchReport(repetitions=repetitions)
-    with _thread_limiter(parallel):
+    limiter, pin = _thread_limiter(parallel)
+    report = BenchReport(thread_pin=pin)
+    with limiter:
         for d in dims:
             dim = SpinDimension.from_d(d)
             rho = random_density(dim, seed)

@@ -392,20 +392,13 @@ def method_b_eval(rho: np.ndarray, s: float, theta: float, phi: float,
     This is the traditional baseline: expand rho into c_jm, then sum
     (gamma_j)^(-s) c_jm Y_jm(theta, phi) / R term by term.
     """
-    from .parity import log_gamma_j, sphere_radius, validate_s
+    from .parity import gamma_power, sphere_radius, validate_s
 
     dim = SpinDimension.from_d(np.shape(rho)[0])
     rho = as_density_matrix(rho, dim)
-    validate_s(dim, s)
+    gamma_pow = gamma_power(dim, validate_s(dim, s))
     if coeffs is None:
         coeffs = expansion_coefficients(rho, table)
-    radius = sphere_radius(dim)
-    log_gamma = log_gamma_j(dim)
-    with np.errstate(over="ignore"):
-        gamma_pow = np.exp(-s * log_gamma)
-    if not np.all(np.isfinite(gamma_pow)):
-        raise OverflowError("(gamma_j)^(-s) overflows double precision; "
-                            "this (d, s) combination is not representable")
     total = 0.0 + 0.0j
     for j in range(dim.two_j + 1):
         row = coeffs.rows[j]
@@ -414,4 +407,4 @@ def method_b_eval(rho: np.ndarray, s: float, theta: float, phi: float,
             if c == 0:
                 continue
             total += gamma_pow[j] * c * spherical_harmonic(j, m, theta, phi)
-    return complex(total / radius)
+    return complex(total / sphere_radius(dim))

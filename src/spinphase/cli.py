@@ -22,7 +22,7 @@ from .bench import cache_directory, default_grid_size, run_bench
 from .fourier import derivative_coefficients, fourier_coefficients_method_c
 from .gridfile import GridFileError, load_matrix, write_grid, write_grid_csv
 from .kcache import CacheError, fourier_coefficients_method_d, open_cache, precompute_cache
-from .parity import ParityOverflowError, build_parity
+from .parity import build_parity, validate_s
 from .sampling import PhaseSpaceGrid, direct_grid, method_b_grid, sample_fft, window_extract
 from . import states
 
@@ -106,10 +106,10 @@ def _build_state(args, dim: SpinDimension) -> tuple[np.ndarray, str]:
 
 def _compute_table(args, dim, rho, s):
     method = args.method
-    parity = build_parity(dim, s)
     if method == "c":
-        return fourier_coefficients_method_c(rho, parity, jy_eigenbasis(dim))
+        return fourier_coefficients_method_c(rho, build_parity(dim, s), jy_eigenbasis(dim))
     if method == "d":
+        validate_s(dim, s)
         directory = cache_directory(_cache_root(args), dim.d, s)
         try:
             cache = open_cache(directory, dim.d, s)
@@ -282,8 +282,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (CliError, CacheError, GridFileError, ParityOverflowError, OverflowError,
-            ValueError, OSError) as exc:
+    except (CliError, CacheError, GridFileError, OverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,9 @@ diagonals of the density matrix.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,8 +27,8 @@ __all__ = [
     "derivative_coefficients",
 ]
 
-# Above this size, diagonal sums switch from bincount to per-diagonal
-# pairwise summation to keep the accumulation error at machine level.
+# Above this size, diagonal sums switch from a sequential scatter-add to
+# per-diagonal pairwise summation to keep the accumulation error at machine level.
 _PAIRWISE_THRESHOLD = 256
 
 
@@ -89,35 +91,49 @@ def compute_k(basis: EigenBasis, mtilde: TransformedParity, ell: int) -> KMatrix
     return KMatrix(dim=basis.dim, s=mtilde.s, ell=int(ell), matrix=matrix)
 
 
-def _diag_sum_plan(d: int):
+@lru_cache(maxsize=64)
+def _diag_sum_plan(d: int) -> np.ndarray:
+    """Diagonal index (offset + d - 1) of every flat entry; shared and read-only."""
     idx = np.arange(d)
-    return (idx[None, :] - idx[:, None] + (d - 1)).ravel()
+    plan = (idx[None, :] - idx[:, None] + (d - 1)).ravel()
+    plan.setflags(write=False)
+    return plan
 
 
-def _diagonal_sums(h: np.ndarray, plan: np.ndarray | None) -> np.ndarray:
+def _diagonal_sums(h: np.ndarray) -> np.ndarray:
     """Sums of every diagonal of h, ordered by offset -(d-1)..(d-1)."""
     d = h.shape[0]
     if d <= _PAIRWISE_THRESHOLD:
-        flat = h.ravel()
-        if plan is None:
-            plan = _diag_sum_plan(d)
-        re = np.bincount(plan, weights=flat.real, minlength=2 * d - 1)
-        im = np.bincount(plan, weights=flat.imag, minlength=2 * d - 1)
-        return re + 1j * im
+        # Same per-bin order as np.bincount, which would copy the read-only plan.
+        out = np.zeros(2 * d - 1, dtype=complex)
+        np.add.at(out, _diag_sum_plan(d), h.ravel())
+        return out
     out = np.empty(2 * d - 1, dtype=complex)
     for off in range(-(d - 1), d):
         out[off + d - 1] = np.sum(np.diagonal(h, off))
     return out
 
 
-def accumulate_row(rho: np.ndarray, k_matrix: np.ndarray,
-                   plan: np.ndarray | None = None) -> np.ndarray:
+def accumulate_row(rho: np.ndarray, k_matrix: np.ndarray) -> np.ndarray:
     """All phi-frequency coefficients carried by one K matrix.
 
     Returns the length-(4J+1) vector with entries
     sum_lambda rho_{lambda+m, lambda} [K]_{lambda, lambda+m}, m ascending.
     """
-    return _diagonal_sums(rho * k_matrix.T, plan)
+    return _diagonal_sums(rho * k_matrix.T)
+
+
+def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
+                k_of_ell: Callable[[int], np.ndarray]) -> FourierTable:
+    """Table whose row ell is accumulate_row(rho, k_of_ell(ell)), for methods c and d.
+
+    ``accumulate_row`` is looked up as a module global, so wrappers of it see both.
+    """
+    two_j = dim.two_j
+    coeffs = np.zeros((2 * two_j + 1, 2 * two_j + 1), dtype=complex)
+    for ell in range(-two_j, two_j + 1):
+        coeffs[ell + two_j, :] = accumulate_row(rho, k_of_ell(ell))
+    return FourierTable(dim=dim, s=s, coeffs=coeffs)
 
 
 def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator,
@@ -132,13 +148,7 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator,
         basis = jy_eigenbasis(dim)
     mtilde = transform_parity(parity, basis).matrix
     u = basis.vectors
-    two_j = dim.two_j
-    plan = _diag_sum_plan(dim.d) if dim.d <= _PAIRWISE_THRESHOLD else None
-    coeffs = np.zeros((2 * two_j + 1, 2 * two_j + 1), dtype=complex)
-    for ell in range(-two_j, two_j + 1):
-        k = _k_matrix(u, mtilde, ell)
-        coeffs[ell + two_j, :] = accumulate_row(rho, k, plan)
-    return FourierTable(dim=dim, s=parity.s, coeffs=coeffs)
+    return _fill_table(rho, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell))
 
 
 def derivative_coefficients(table: FourierTable, variable: str) -> FourierTable:

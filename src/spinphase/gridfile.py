@@ -66,10 +66,13 @@ def _unpack(raw: bytes):
         raise GridFileError("bad magic; not a grid file")
     if version != FORMAT_VERSION:
         raise GridFileError(f"unsupported format version {version}")
-    body = raw[_HEAD.size:]
-    desc = body[:desc_len].decode("utf-8")
+    body = memoryview(raw)[_HEAD.size:]  # a view: grid payloads run to megabytes
+    try:
+        desc = str(body[:desc_len], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise GridFileError(f"description is not valid UTF-8: {exc}") from None
     payload = body[desc_len:-4]
-    (crc,) = struct.unpack("<I", raw[-4:])
+    (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
     if zlib.crc32(payload) != crc:
         raise GridFileError("payload checksum mismatch")
     values = np.frombuffer(payload, dtype="<c16")
@@ -161,11 +164,12 @@ def read_matrix_csv(stream) -> np.ndarray:
     if not header.startswith("row"):
         raise GridFileError("missing matrix CSV header")
     data = np.loadtxt(stream, delimiter=",", ndmin=2)
-    d = int(data[:, :2].max()) + 1
+    index = data[:, :2]
+    if not np.all(np.isfinite(index) & (index >= 0) & (index == np.floor(index))):
+        raise GridFileError("matrix CSV row and col must be non-negative integers")
+    d = int(index.max()) + 1
     rho = np.zeros((d, d), dtype=complex)
-    rows = data[:, 0].astype(int)
-    cols = data[:, 1].astype(int)
-    rho[rows, cols] = data[:, 2] + 1j * data[:, 3]
+    rho[tuple(index.astype(int).T)] = data[:, 2] + 1j * data[:, 3]
     return rho
 
 

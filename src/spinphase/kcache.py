@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .angular import EigenBasis, SpinDimension, jy_eigenbasis
-from .fourier import (_PAIRWISE_THRESHOLD, FourierTable, _diag_sum_plan, _k_matrix,
-                      accumulate_row)
+from .fourier import FourierTable, _fill_table, _k_matrix
 from .parity import ParityOperator, build_parity, transform_parity
 from .states import as_density_matrix
 
@@ -181,8 +180,6 @@ def _companion_payload(basis: EigenBasis, parity: ParityOperator) -> bytes:
 
 
 def precompute_cache(dim: SpinDimension, s: float, directory,
-                     basis: EigenBasis | None = None,
-                     parity: ParityOperator | None = None,
                      force: bool = False, workers: int = 1) -> KCache:
     """Write (or verify) every K record plus the companion record.
 
@@ -215,13 +212,9 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
                 return cache
         except CacheIncompleteError:
             stale = None
-        except CacheMismatchError:
-            raise
 
-    if basis is None:
-        basis = jy_eigenbasis(dim)
-    if parity is None:
-        parity = build_parity(dim, s)
+    basis = jy_eigenbasis(dim)
+    parity = build_parity(dim, s)
     mtilde = transform_parity(parity, basis).matrix
     u = basis.vectors
     todo = all_ells if stale is None else sorted(stale)
@@ -284,12 +277,4 @@ def fourier_coefficients_method_d(rho: np.ndarray, cache: KCache) -> FourierTabl
     if listed != expected:
         raise CacheIncompleteError(
             f"cache lists {len(listed)} K records, expected {len(expected)}")
-    plan = _diag_sum_plan(dim.d) if dim.d <= _PAIRWISE_THRESHOLD else None
-    coeffs = np.zeros((2 * two_j + 1, 2 * two_j + 1), dtype=complex)
-    for rec in manifest["records"]:
-        ell = rec["ell"]
-        if ell == COMPANION_ELL:
-            continue
-        k = cache.read_k(ell)
-        coeffs[ell + two_j, :] = accumulate_row(rho, k, plan)
-    return FourierTable(dim=dim, s=cache.s, coeffs=coeffs)
+    return _fill_table(rho, dim, cache.s, cache.read_k)

@@ -23,6 +23,7 @@ __all__ = [
     "sphere_radius",
     "log_gamma_j",
     "gamma_j",
+    "gamma_power",
     "validate_s",
     "tensor_diag_table",
     "build_parity",
@@ -61,6 +62,23 @@ def gamma_j(dim: SpinDimension, j: int) -> float:
     if j < 0 or j > dim.two_j:
         raise ValueError(f"j must lie in 0..2J = 0..{dim.two_j}, got {j}")
     return float(np.exp(log_gamma_j(dim)[j]))
+
+
+def _exp_weights(log_weight: np.ndarray, dim: SpinDimension, s: float) -> np.ndarray:
+    """exp(log_weight) over j = 0..2J; ParityOverflowError names the first j it overflows at."""
+    with np.errstate(over="ignore"):
+        weight = np.exp(log_weight)
+    if not np.all(np.isfinite(weight)):
+        bad = int(np.argmax(~np.isfinite(weight)))
+        raise ParityOverflowError(
+            f"(gamma_j)^(-s) overflows double precision at j = {bad} "
+            f"for d = {dim.d}, s = {s}; use s <= 0 representations at this scale")
+    return weight
+
+
+def gamma_power(dim: SpinDimension, s: float) -> np.ndarray:
+    """(gamma_j)^(-s) for j = 0..2J; ParityOverflowError if it leaves double range."""
+    return _exp_weights(-s * log_gamma_j(dim), dim, s)
 
 
 def validate_s(dim: SpinDimension, s: float, allow_extended: bool = False) -> float:
@@ -107,25 +125,13 @@ class TransformedParity:
 
 
 def build_parity(dim: SpinDimension, s: float, allow_extended_s: bool = False) -> ParityOperator:
-    """Assemble M_s = (1/R) sum_j sqrt((2j+1)/4pi) (gamma_j)^(-s) T_j0.
-
-    (gamma_j)^(-s) is evaluated as exp(-s log gamma_j); for s near +1 and
-    large d this exceeds double range near j = 2J, which is reported as an
-    explicit overflow instead of leaking infinities downstream.
-    """
+    """Assemble M_s = (1/R) sum_j sqrt((2j+1)/4pi) (gamma_j)^(-s) T_j0."""
     s = validate_s(dim, s, allow_extended_s)
     radius = sphere_radius(dim)
     j = np.arange(dim.two_j + 1, dtype=float)
     log_weight = (0.5 * (np.log(2.0 * j + 1.0) - LOG_4PI)
                   - s * log_gamma_j(dim) - math.log(radius))
-    with np.errstate(over="ignore"):
-        weight = np.exp(log_weight)
-    if not np.all(np.isfinite(weight)):
-        bad = int(np.argmax(~np.isfinite(weight)))
-        raise ParityOverflowError(
-            f"(gamma_j)^(-s) overflows double precision at j = {bad} "
-            f"for d = {dim.d}, s = {s}; use s <= 0 representations at this scale")
-    diag = weight @ tensor_diag_table(dim)
+    diag = _exp_weights(log_weight, dim, s) @ tensor_diag_table(dim)
     if not np.all(np.isfinite(diag)):
         raise ParityOverflowError(f"parity diagonal overflows for d = {dim.d}, s = {s}")
     diag.setflags(write=False)

@@ -15,7 +15,7 @@ from .angular import EigenBasis, SpinDimension, jy_eigenbasis, rotation_operator
 from .cgc import (CoefficientTable, TensorOperatorTable, expansion_coefficients,
                   harmonic_theta_sums)
 from .fourier import FourierTable
-from .parity import ParityOperator, log_gamma_j, sphere_radius, validate_s
+from .parity import ParityOperator, gamma_power, sphere_radius, validate_s
 from .states import as_density_matrix
 
 __all__ = [
@@ -176,16 +176,12 @@ def method_b_grid(rho: np.ndarray, s: float, n: int,
     rho = as_density_matrix(rho, dim)
     n = _check_grid_size(dim, n)
     s = validate_s(dim, s, allow_extended_s)
+    gamma_pow = gamma_power(dim, s)
     if coeffs is None:
         coeffs = expansion_coefficients(rho, table)
-    two_j = dim.two_j
-    with np.errstate(over="ignore"):
-        gamma_pow = np.exp(-s * log_gamma_j(dim))
-    if not np.all(np.isfinite(gamma_pow)):
-        raise OverflowError("(gamma_j)^(-s) overflows double precision")
     weights = coeffs.dense() * (gamma_pow / sphere_radius(dim))[:, None]
     profile_sums = harmonic_theta_sums(weights, grid_thetas(n))
-    m_vals = np.arange(-two_j, two_j + 1)
+    m_vals = np.arange(-dim.two_j, dim.two_j + 1)
     phase = np.exp(1j * np.outer(m_vals, grid_phis(n)))
     return PhaseSpaceGrid(dim=dim, s=s, n=n, values=profile_sums @ phase, method="b")
 

@@ -54,8 +54,7 @@ def test_criterion_1_four_way_oracle_equivalence(tmp_path):
         coeff_tables = [expansion_coefficients(rho, op_table) for rho in rhos]
         for s in S_VALUES:
             parity = build_parity(dim, s)
-            cache = precompute_cache(dim, s, cache_directory(tmp_path, d, s),
-                                     basis=basis, parity=parity)
+            cache = precompute_cache(dim, s, cache_directory(tmp_path, d, s))
             for rho, coeffs in zip(rhos, coeff_tables):
                 table_c = fourier_coefficients_method_c(rho, parity, basis)
                 grids = {

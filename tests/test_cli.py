@@ -96,6 +96,30 @@ def test_non_finite_input_matrix_is_an_error(tmp_path, capsys, method):
     assert captured.out == ""
 
 
+def test_csv_input_with_a_negative_index_is_an_error(tmp_path, capsys):
+    mfile = tmp_path / "bad.csv"
+    mfile.write_text("row,col,re,im\n-1,0,0.25,0\n0,0,0.5,0\n1,1,0.5,0\n")
+    assert run("compute", "--input", mfile, "--dim", 2, "--n", 4) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "non-negative integers" in captured.err
+    assert captured.out == ""
+
+
+def test_method_d_checks_s_but_builds_no_parity(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "cache"
+    assert run("precompute", "--dim", 5, "--s", 0, "--cache", cache) == 0
+    assert run("compute", "--state", "ghz", "--dim", 5, "--s", 1.5, "--n", 10,
+               "--method", "d", "--cache", cache) == 1
+    assert "outside [-1, 1]" in capsys.readouterr().err
+
+    def no_parity(*args, **kwargs):
+        raise AssertionError("method d built a parity operator")
+
+    monkeypatch.setattr("spinphase.cli.build_parity", no_parity)
+    assert run("compute", "--state", "ghz", "--dim", 5, "--s", 0, "--n", 10,
+               "--method", "d", "--cache", cache) == 0
+
+
 def test_truncated_input_is_an_error_not_a_traceback(tmp_path, capsys):
     mfile = tmp_path / "rho.bin"
     write_matrix(mfile, random_density(SpinDimension.from_d(4), 1))

@@ -231,8 +231,32 @@ def test_diagonal_sum_branches_agree():
     rng = np.random.default_rng(12)
     d = 300
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    pairwise = _diagonal_sums(h, None)  # d > threshold: pairwise branch
+    pairwise = _diagonal_sums(h)  # d > threshold: pairwise branch
     binned = (np.bincount(_diag_sum_plan(d), weights=h.real.ravel(), minlength=2 * d - 1)
               + 1j * np.bincount(_diag_sum_plan(d), weights=h.imag.ravel(), minlength=2 * d - 1))
     scale = np.abs(binned).max()
     assert np.abs(pairwise - binned).max() < 1e-13 * scale
+
+
+def test_scatter_add_branch_matches_bincount_bit_for_bit():
+    from spinphase.fourier import _diag_sum_plan, _diagonal_sums
+
+    rng = np.random.default_rng(13)
+    for d in (2, 7, 200, 256):
+        h = ((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+             * 10.0 ** rng.integers(-30, 30, (d, d)))
+        plan = _diag_sum_plan(d)
+        binned = (np.bincount(plan, weights=h.real.ravel(), minlength=2 * d - 1)
+                  + 1j * np.bincount(plan, weights=h.imag.ravel(), minlength=2 * d - 1))
+        assert np.array_equal(_diagonal_sums(h), binned)
+
+
+def test_diag_sum_plan_is_one_shared_read_only_array_per_d():
+    from spinphase.fourier import _diag_sum_plan
+
+    plan = _diag_sum_plan(7)
+    assert _diag_sum_plan(7) is plan
+    assert _diag_sum_plan(8) is not plan
+    assert not plan.flags.writeable
+    with pytest.raises(ValueError):
+        plan[0] = 0

@@ -124,3 +124,21 @@ def test_matrix_csv_roundtrip(tmp_path):
     with open(path, "w") as fh:
         write_matrix_csv(fh, rho)
     assert np.abs(load_matrix(path) - rho).max() < 1e-16
+
+
+def test_description_that_is_not_utf8_is_a_grid_file_error(grid, tmp_path):
+    path = tmp_path / "g.bin"
+    write_grid(path, grid, "caf\u00e9")
+    raw = path.read_bytes()
+    accent = raw.index("\u00e9".encode("utf-8"))
+    path.write_bytes(raw[:accent + 1] + b"(" + raw[accent + 2:])  # cut mid-character
+    with pytest.raises(GridFileError, match="UTF-8"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("index", ["-1,0", "0,-1", "1.7,0", "0,0.5", "nan,0", "0,inf"])
+def test_matrix_csv_rejects_bad_indices(tmp_path, index):
+    path = tmp_path / "m.csv"
+    path.write_text(f"row,col,re,im\n0,0,0.5,0\n1,1,0.5,0\n{index},0.25,0\n")
+    with pytest.raises(GridFileError, match="non-negative integers"):
+        load_matrix(path)

@@ -269,3 +269,19 @@ def test_tensor_grid_carries_s_weight(d, j, m, s):
     weight = np.exp(-s * log_gamma_j(dim)[j]) / sphere_radius(dim)
     reference = weight * harmonic_grid(j, m, grid_thetas(n), grid_phis(n))
     assert np.abs(grid - reference).max() < 1e-13
+
+
+def test_method_b_overflow_is_raised_before_the_expansion(monkeypatch):
+    from spinphase.parity import ParityOverflowError
+
+    def expansion_must_not_run(*args, **kwargs):
+        raise AssertionError("tensor expansion ran before the overflow check")
+
+    monkeypatch.setattr("spinphase.sampling.expansion_coefficients", expansion_must_not_run)
+    monkeypatch.setattr("spinphase.cgc.expansion_coefficients", expansion_must_not_run)
+    d = 1100
+    rho = np.eye(d, dtype=complex) / d
+    with pytest.raises(ParityOverflowError, match=f"d = {d}, s = 1.0"):
+        method_b_grid(rho, 1.0, 2 * d)
+    with pytest.raises(ParityOverflowError, match=f"d = {d}, s = 1.0"):
+        method_b_eval(rho, 1.0, 0.3, 0.4)
