@@ -94,8 +94,10 @@ def cg_families(two_j1: int, two_j2: int, two_m1, two_m2):
                     / np.maximum(2.0 * j * (j + 1.0), 1e-300),
                     0.0)
 
-    down = _sweep(n_j, n_fam, t, dvec, m1, direction=-1)
-    up = _sweep(n_j, n_fam, t, dvec, m1, direction=+1)
+    # t ends in a zero, so t[::-1][k] couples reversed rows k - 1 and k and
+    # the downward sweep is the upward one on the reversed index.
+    down = _sweep(t[::-1], dvec[::-1], m1)[::-1]
+    up = _sweep(t, dvec, m1)
 
     # Join the sweeps where both carry signal, keeping each on its stable side.
     score = np.abs(down) * np.abs(up)
@@ -105,8 +107,8 @@ def cg_families(two_j1: int, two_j2: int, two_m1, two_m2):
     down_at = down[pivot, cols]
     safe = np.abs(up_at) > 0
     ratio = np.where(safe, down_at / np.where(safe, up_at, 1.0), 1.0)
-    rows = np.arange(n_j)[:, None]
-    combined = np.where(rows < pivot[None, :], up * ratio[None, :], down)
+    combined = np.array(down)
+    np.multiply(up, ratio, out=combined, where=np.arange(n_j)[:, None] < pivot)
 
     # Normalize in two stages so squaring cannot overflow the sweeps'
     # dynamic range, then fix the sign of the stretched coefficient.
@@ -118,32 +120,18 @@ def cg_families(two_j1: int, two_j2: int, two_m1, two_m2):
     return two_grid, combined
 
 
-def _sweep(n_j, n_fam, t, dvec, m1, direction):
-    """One directional pass of the coupled-basis three-term recursion."""
-    out = np.zeros((n_j, n_fam))
-    if direction < 0:
-        out[n_j - 1] = 1.0
-        out[n_j - 2] = -(dvec[n_j - 1] - m1) * out[n_j - 1] / t[n_j - 1]
-        for r in range(n_j - 2, 0, -1):
-            out[r - 1] = -((dvec[r] - m1) * out[r] + t[r + 1] * out[r + 1]) / t[r]
-            _rescale(out, r - 1, n_j, direction)
-    else:
-        out[0] = 1.0
-        out[1] = -(dvec[0] - m1) * out[0] / t[1]
-        for r in range(1, n_j - 1):
-            out[r + 1] = -((dvec[r] - m1) * out[r] + t[r] * out[r - 1]) / t[r + 1]
-            _rescale(out, r + 1, n_j, direction)
+def _sweep(t, dvec, m1):
+    """Upward pass of the coupled-basis three-term recursion, rescaled as it goes."""
+    n_j = dvec.size
+    out = np.zeros((n_j, m1.size))
+    out[0] = 1.0
+    out[1] = -(dvec[0] - m1) * out[0] / t[1]
+    for r in range(1, n_j - 1):
+        out[r + 1] = -((dvec[r] - m1) * out[r] + t[r] * out[r - 1]) / t[r + 1]
+        big = np.abs(out[r + 1]) > _RESCALE_LIMIT
+        if np.any(big):
+            out[: r + 2, big] *= 1.0 / np.abs(out[r + 1][big])
     return out
-
-
-def _rescale(out, row, n_j, direction):
-    big = np.abs(out[row]) > _RESCALE_LIMIT
-    if np.any(big):
-        factor = 1.0 / np.abs(out[row][big])
-        if direction < 0:
-            out[row:, big] *= factor
-        else:
-            out[: row + 1, big] *= factor
 
 
 def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:

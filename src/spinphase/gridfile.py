@@ -10,6 +10,7 @@ the payload.  A user matrix reuses the same container with n = d and the
 from __future__ import annotations
 
 import struct
+import warnings
 import zlib
 from pathlib import Path
 
@@ -137,12 +138,23 @@ def write_grid_csv(stream, grid: PhaseSpaceGrid | GridWindow) -> None:
         write((t + t.join(tail)) % tuple(reim.tolist()))
 
 
+def _read_csv_rows(stream, first: str, what: str) -> np.ndarray:
+    """The (rows, 4) numbers of a CSV whose header starts with ``first``."""
+    if not stream.readline().startswith(first):
+        raise GridFileError(f"missing {what} CSV header")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
+        data = np.loadtxt(stream, delimiter=",", ndmin=2)
+    if data.size == 0:
+        raise GridFileError(f"{what} CSV has no entries")
+    if data.shape[1] != 4:
+        raise GridFileError(f"{what} CSV rows need 4 fields, got {data.shape[1]}")
+    return data
+
+
 def read_grid_csv(stream):
     """Returns (thetas, phis, values) parsed from a grid CSV."""
-    header = stream.readline()
-    if not header.startswith("theta"):
-        raise GridFileError("missing grid CSV header")
-    data = np.loadtxt(stream, delimiter=",", ndmin=2)
+    data = _read_csv_rows(stream, "theta", "grid")
     thetas = np.unique(data[:, 0])
     phis = np.unique(data[:, 1])
     values = (data[:, 2] + 1j * data[:, 3]).reshape(thetas.size, phis.size)
@@ -160,10 +172,7 @@ def write_matrix_csv(stream, rho: np.ndarray) -> None:
 
 
 def read_matrix_csv(stream) -> np.ndarray:
-    header = stream.readline()
-    if not header.startswith("row"):
-        raise GridFileError("missing matrix CSV header")
-    data = np.loadtxt(stream, delimiter=",", ndmin=2)
+    data = _read_csv_rows(stream, "row", "matrix")
     index = data[:, :2]
     if not np.all(np.isfinite(index) & (index >= 0) & (index == np.floor(index))):
         raise GridFileError("matrix CSV row and col must be non-negative integers")

@@ -67,7 +67,8 @@ def _record_name(ell: int) -> str:
     return f"k_{'m' if ell < 0 else 'p'}{abs(ell):05d}.bin"
 
 
-def _write_record(path: Path, d: int, s: float, ell: int, payload: bytes) -> int:
+def _write_record(path: Path, d: int, s: float, ell: int, payload) -> int:
+    """``payload`` is any contiguous buffer: bytes or a ``<c16`` array."""
     crc = zlib.crc32(payload)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, d, ell, s))
@@ -187,6 +188,8 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
     mismatching records are rewritten.  The manifest is written last so a
     partial run never masquerades as a complete cache.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     s = float(s)
@@ -201,11 +204,12 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
             manifest = cache.manifest()
             stale = set()
             for rec in manifest["records"]:
+                ell = rec["ell"]
                 try:
-                    _read_record(directory / rec["file"], dim.d, s, rec["ell"])
-                    kept[rec["ell"]] = rec
+                    _read_record(directory / _record_name(ell), dim.d, s, ell)
+                    kept[ell] = rec
                 except (CacheCorruptError, CacheIncompleteError):
-                    stale.add(rec["ell"])
+                    stale.add(ell)
             stale.update(set(all_ells) - set(kept) - stale)
             if not stale:
                 cache.last_action = "verified"
@@ -224,29 +228,26 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
     if cache.manifest_path.exists():
         cache.manifest_path.unlink()
 
-    def build_one(ell):
+    def write_one(ell):
         if ell == COMPANION_ELL:
-            return ell, _companion_payload(basis, parity)
-        payload = np.ascontiguousarray(_k_matrix(u, mtilde, ell), dtype="<c16").tobytes()
-        return ell, payload
+            payload = _companion_payload(basis, parity)
+        else:
+            payload = np.ascontiguousarray(_k_matrix(u, mtilde, ell), dtype="<c16")
+        path = directory / _record_name(ell)
+        try:
+            crc = _write_record(path, dim.d, s, ell, payload)
+        except OSError as exc:
+            raise CacheError(f"failed to write record for ell = {ell}: {exc}") from exc
+        return {"ell": ell, "file": path.name,
+                "crc32": crc, "payload_bytes": memoryview(payload).nbytes}
 
-    iterator = map(build_one, todo)
-    pool = None
-    if workers > 1:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        iterator = pool.map(build_one, todo)
-    try:
-        for ell, payload in iterator:
-            path = directory / _record_name(ell)
-            try:
-                crc = _write_record(path, dim.d, s, ell, payload)
-            except OSError as exc:
-                raise CacheError(f"failed to write record for ell = {ell}: {exc}") from exc
-            kept[ell] = {"ell": ell, "file": path.name,
-                         "crc32": crc, "payload_bytes": len(payload)}
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    # Each task builds and writes one record, so a worker holds one at a time.
+    if workers == 1:
+        written = map(write_one, todo)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            written = list(pool.map(write_one, todo))
+    kept.update((rec["ell"], rec) for rec in written)
 
     records = [kept[ell] for ell in all_ells]
     manifest = {"format_version": FORMAT_VERSION, "d": dim.d, "s": repr(s),

@@ -105,6 +105,24 @@ def test_csv_input_with_a_negative_index_is_an_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("body, message", [("", "no entries"),
+                                           ("0,0\n1,1\n", "4 fields")])
+def test_csv_input_without_full_rows_is_an_error(tmp_path, capsys, body, message):
+    mfile = tmp_path / "bad.csv"
+    mfile.write_text("row,col,re,im\n" + body)
+    assert run("compute", "--input", mfile, "--dim", 2, "--n", 4) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_precompute_rejects_workers_below_one(tmp_path, capsys, workers):
+    assert run("precompute", "--dim", 4, "--workers", workers, "--out", tmp_path / "c") == 1
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_method_d_checks_s_but_builds_no_parity(tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     assert run("precompute", "--dim", 5, "--s", 0, "--cache", cache) == 0

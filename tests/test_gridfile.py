@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -142,3 +143,17 @@ def test_matrix_csv_rejects_bad_indices(tmp_path, index):
     path.write_text(f"row,col,re,im\n0,0,0.5,0\n1,1,0.5,0\n{index},0.25,0\n")
     with pytest.raises(GridFileError, match="non-negative integers"):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("reader, header", [(read_matrix_csv, "row,col,re,im"),
+                                            (read_grid_csv, "theta,phi,re,im")])
+def test_header_only_csv_is_an_error_without_a_warning(reader, header):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridFileError, match="no entries"):
+            reader(io.StringIO(header + "\n"))
+
+
+def test_matrix_csv_rejects_short_rows():
+    with pytest.raises(GridFileError, match="4 fields, got 2"):
+        read_matrix_csv(io.StringIO("row,col,re,im\n0,0\n1,1\n"))

@@ -1,8 +1,11 @@
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spinphase import kcache
 from spinphase.angular import SpinDimension, jy_eigenbasis
 from spinphase.fourier import fourier_coefficients_method_c
 from spinphase.kcache import (CacheCorruptError, CacheIncompleteError,
@@ -147,3 +150,25 @@ def test_parallel_precompute_matches_serial(tmp_path):
     threaded = precompute_cache(dim, 0.0, tmp_path / "threaded", workers=4)
     for ell in range(-dim.two_j, dim.two_j + 1):
         assert np.array_equal(serial.read_k(ell), threaded.read_k(ell))
+
+
+def test_parallel_precompute_holds_few_records(tmp_path, monkeypatch):
+    # A slow disk must not let finished records pile up in memory: each
+    # worker builds and writes one record at a time.
+    write = kcache._write_record
+
+    def slow_write(*args):
+        time.sleep(0.002)
+        return write(*args)
+
+    monkeypatch.setattr(kcache, "_write_record", slow_write)
+    dim = SpinDimension.from_d(60)
+    record_bytes = 60 * 60 * 16
+    jy_eigenbasis(dim)  # the memoized basis stays out of the peak
+    tracemalloc.start()
+    try:
+        precompute_cache(dim, 0.0, tmp_path / "c", workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * record_bytes

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,15 @@ def test_parity_s_range_validation():
 def test_parity_overflow_is_loud():
     with pytest.raises(ParityOverflowError):
         build_parity(SpinDimension.from_d(1200), 1.0)
+
+
+def test_parity_build_is_warning_free_at_large_dimension():
+    # From d = 700 the up-sweep times the join ratio overflows on the rows the
+    # Clebsch-Gordan join discards, so that product must never be formed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parity = build_parity(SpinDimension.from_d(700), 0.0)
+    assert np.all(np.isfinite(parity.diag))
 
 
 def test_transform_identity_kernel():
