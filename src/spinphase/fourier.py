@@ -124,15 +124,29 @@ def accumulate_row(rho: np.ndarray, k_matrix: np.ndarray) -> np.ndarray:
 
 
 def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
-                k_of_ell: Callable[[int], np.ndarray]) -> FourierTable:
+                k_of_ell: Callable[[int], np.ndarray],
+                on_mirrored: Callable[[int], object] | None = None) -> FourierTable:
     """Table whose row ell is accumulate_row(rho, k_of_ell(ell)), for methods c and d.
+
+    An exactly Hermitian rho has a real phase-space function, so
+    F_{-ell,-m} = conj(F_{ell m}): only the rows ell >= 0 are accumulated and
+    the rows ell < 0 are their conjugated, reversed copies.  ``on_mirrored``
+    is then called with each ell < 0 instead of ``k_of_ell``.  Any other
+    operator, even one ulp from Hermitian, takes every row from its own K.
 
     ``accumulate_row`` is looked up as a module global, so wrappers of it see both.
     """
     two_j = dim.two_j
+    hermitian = np.array_equal(rho, rho.conj().T)
     coeffs = np.zeros((2 * two_j + 1, 2 * two_j + 1), dtype=complex)
     for ell in range(-two_j, two_j + 1):
+        if hermitian and ell < 0:
+            if on_mirrored is not None:
+                on_mirrored(ell)
+            continue
         coeffs[ell + two_j, :] = accumulate_row(rho, k_of_ell(ell))
+    if hermitian:
+        np.conjugate(coeffs[:two_j:-1, ::-1], out=coeffs[:two_j])
     return FourierTable(dim=dim, s=s, coeffs=coeffs)
 
 

@@ -268,6 +268,8 @@ def fourier_coefficients_method_d(rho: np.ndarray, cache: KCache) -> FourierTabl
 
     O(d^3) total work and O(d^2) memory; every record is checksum-verified
     as it is read, so a corrupted cache fails loudly before any output.
+    For a Hermitian rho the rows ell < 0 are mirrored, not accumulated, but
+    their records are still read and verified.
     """
     dim = cache.dim
     rho = as_density_matrix(rho, dim)
@@ -278,4 +280,4 @@ def fourier_coefficients_method_d(rho: np.ndarray, cache: KCache) -> FourierTabl
     if listed != expected:
         raise CacheIncompleteError(
             f"cache lists {len(listed)} K records, expected {len(expected)}")
-    return _fill_table(rho, dim, cache.s, cache.read_k)
+    return _fill_table(rho, dim, cache.s, cache.read_k, on_mirrored=cache.read_k)

@@ -38,7 +38,16 @@ def as_density_matrix(rho, dim: SpinDimension) -> np.ndarray:
 
 
 def _pure(psi: np.ndarray) -> np.ndarray:
-    return np.outer(psi, psi.conj())
+    """|psi><psi|, exactly Hermitian: the lower triangle mirrors the upper one.
+
+    ``np.outer`` alone can leave the two triangles one ulp apart and a tiny
+    imaginary part on the diagonal, which would keep the state off the
+    Hermitian half-table path of methods c and d.
+    """
+    rho = np.triu(np.outer(psi, psi.conj()), 1)
+    rho += rho.conj().T
+    rho[np.diag_indices_from(rho)] = np.abs(psi) ** 2
+    return rho
 
 
 def ghz(dim: SpinDimension) -> np.ndarray:

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from spinphase import fourier
 from spinphase.angular import (EigenBasis, SpinDimension, build_spin_operator,
                                jy_eigenbasis, projector_am)
 from spinphase.fourier import (FourierTable, compute_k, derivative_coefficients,
                                fourier_coefficients_method_c)
+from spinphase.kcache import KCache, fourier_coefficients_method_d, precompute_cache
 from spinphase.parity import build_parity, transform_parity
-from spinphase.sampling import direct_eval, grid_phis, grid_thetas, minimal_grid_size, \
-    sample_fft
+from spinphase.sampling import direct_eval, direct_grid, grid_phis, grid_thetas, \
+    method_b_grid, minimal_grid_size, sample_fft
 from spinphase.states import dicke, ghz, maximally_mixed, random_density
 
 
@@ -260,3 +262,93 @@ def test_diag_sum_plan_is_one_shared_read_only_array_per_d():
     assert not plan.flags.writeable
     with pytest.raises(ValueError):
         plan[0] = 0
+
+
+
+@pytest.mark.parametrize("d", [12, 65])
+@pytest.mark.parametrize("s", [-1.0, 0.0])
+def test_mirrored_rows_match_rows_built_from_their_own_k(d, s, tmp_path):
+    # The half path fills ell < 0 from ell > 0, so criterion 4's Hermitian
+    # symmetry check passes by construction there; here every ell < 0 row is
+    # built from K_ell itself, which keeps K_{-ell} = K_ell^H under test.
+    from spinphase.fourier import _k_matrix, accumulate_row
+
+    dim = SpinDimension.from_d(d)
+    rho = random_density(dim, 40 + d)
+    basis = jy_eigenbasis(dim)
+    parity = build_parity(dim, s)
+    mtilde = transform_parity(parity, basis).matrix
+    two_j = dim.two_j
+    direct = np.array([accumulate_row(rho, _k_matrix(basis.vectors, mtilde, ell))
+                       for ell in range(-two_j, 0)])
+    for table in (fourier_coefficients_method_c(rho, parity, basis),
+                  fourier_coefficients_method_d(rho, precompute_cache(dim, s, tmp_path))):
+        assert np.abs(table.coeffs[:two_j] - direct).max() < 1e-13
+
+
+@pytest.mark.parametrize("d", [6, 9])
+def test_only_exactly_hermitian_rho_takes_the_half_path(d, tmp_path, monkeypatch):
+    calls = {"accumulate_row": 0, "read_k": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(fourier, "accumulate_row",
+                        counted("accumulate_row", fourier.accumulate_row))
+    monkeypatch.setattr(KCache, "read_k", counted("read_k", KCache.read_k))
+    dim = SpinDimension.from_d(d)
+    parity = build_parity(dim, -0.5)
+    cache = precompute_cache(dim, -0.5, tmp_path)
+    n = minimal_grid_size(dim)
+    two_j = dim.two_j
+    rng = np.random.default_rng(d)
+    a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+    hermitian = random_density(dim, 9)
+    one_ulp = hermitian.copy()
+    one_ulp[0, 1] = complex(np.nextafter(one_ulp[0, 1].real, np.inf), one_ulp[0, 1].imag)
+    for rho in (hermitian, np.outer(a, b.conj()), one_ulp):
+        rows = two_j + 1 if rho is hermitian else 2 * two_j + 1  # 2J+1 or 4J+1
+        calls.update(accumulate_row=0, read_k=0)
+        grid_c = sample_fft(fourier_coefficients_method_c(rho, parity), n).values
+        assert calls["accumulate_row"] == rows
+        calls.update(accumulate_row=0, read_k=0)
+        grid_d = sample_fft(fourier_coefficients_method_d(rho, cache), n).values
+        assert calls == {"accumulate_row": rows, "read_k": 2 * d - 1}
+        oracles = [direct_grid(rho, parity, n).values, method_b_grid(rho, -0.5, n).values]
+        for grid in (grid_c, grid_d):
+            for oracle in oracles:
+                assert np.sqrt(np.mean(np.abs(grid - oracle) ** 2)) <= 1e-9
+
+
+def _theta_integrals(two_j):
+    """I_ell = int_0^pi exp(i ell theta) sin(theta) dtheta for ell = -2J..2J."""
+    ells = np.arange(-two_j, two_j + 1)
+    out = np.zeros(ells.size, dtype=complex)
+    for k, ell in enumerate(ells):
+        if abs(ell) == 1:
+            out[k] = 0.5j * np.pi * ell
+        else:
+            out[k] = (1 + (-1) ** abs(ell)) / (1 - ell * ell)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 5, 30, 101])
+@pytest.mark.parametrize("s", [-1.0, 0.0])
+def test_sphere_integral_equals_weighted_trace(d, s):
+    # R^2 * int f dOmega = gamma_0^(1-s) Tr rho, from column m = 0 of the table.
+    # Glauber (s = 1) is left out: its residual grows with max 1/gamma_j.
+    dim = SpinDimension.from_d(d)
+    radius_sq = dim.j / (2 * np.pi)
+    gamma_0 = np.sqrt(dim.two_j / (dim.two_j + 1))
+    parity = build_parity(dim, s)
+    rng = np.random.default_rng(d)
+    general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    general /= np.linalg.norm(general)  # non-Hermitian, on the scale of a density matrix
+    for rho in (random_density(dim, d), general):
+        table = fourier_coefficients_method_c(rho, parity)
+        integral = 2 * np.pi * table.coeffs[:, dim.two_j] @ _theta_integrals(dim.two_j)
+        expected = gamma_0 ** (1 - s) * np.trace(rho)
+        assert abs(radius_sq * integral - expected) < 1e-12

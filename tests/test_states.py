@@ -179,3 +179,25 @@ def test_grid_routes_reject_non_finite_rho(tmp_path, route):
     }
     with pytest.raises(ValueError, match="non-finite"):
         calls[route]()
+
+
+@pytest.mark.parametrize("d", [7, 64, 200, 320])
+def test_every_family_is_exactly_hermitian(d, monkeypatch):
+    # Methods c and d mirror the rows ell < 0 only for an exactly Hermitian rho.
+    from spinphase import states
+
+    pure_inputs = []
+    original = states._pure
+
+    def recording_pure(psi):
+        pure_inputs.append(psi)
+        return original(psi)
+
+    monkeypatch.setattr(states, "_pure", recording_pure)
+    dim = SpinDimension.from_d(d)
+    pure = [ghz(dim), dicke(dim, dim.j - 1), squeezed(dim, 0.05), coherent(dim, 0.7, 1.3)]
+    for rho in pure + [random_density(dim, d), maximally_mixed(dim)]:
+        assert np.array_equal(rho, rho.conj().T)
+    assert len(pure_inputs) == len(pure)
+    for psi, rho in zip(pure_inputs, pure):
+        assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-15
