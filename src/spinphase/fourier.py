@@ -130,9 +130,12 @@ def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
 
     An exactly Hermitian rho has a real phase-space function, so
     F_{-ell,-m} = conj(F_{ell m}): only the rows ell >= 0 are accumulated and
-    the rows ell < 0 are their conjugated, reversed copies.  ``on_mirrored``
-    is then called with each ell < 0 instead of ``k_of_ell``.  Any other
-    operator, even one ulp from Hermitian, takes every row from its own K.
+    the rows ell < 0 are their conjugated, reversed copies.  Row 0 mirrors
+    its own m > 0 half onto m < 0 and keeps Re F_00, so the table is exactly
+    conjugate-symmetric and sampling.sample_fft synthesizes a real grid.
+    ``on_mirrored`` is called with each ell < 0 instead of ``k_of_ell``.
+    Any other operator, even one ulp from Hermitian, takes every row from
+    its own K.
 
     ``accumulate_row`` is looked up as a module global, so wrappers of it see both.
     """
@@ -146,6 +149,9 @@ def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
             continue
         coeffs[ell + two_j, :] = accumulate_row(rho, k_of_ell(ell))
     if hermitian:
+        row0 = coeffs[two_j]
+        np.conjugate(row0[:two_j:-1], out=row0[:two_j])
+        row0[two_j] = row0[two_j].real
         np.conjugate(coeffs[:two_j:-1, ::-1], out=coeffs[:two_j])
     return FourierTable(dim=dim, s=s, coeffs=coeffs)
 

@@ -45,8 +45,13 @@ class GridFileError(Exception):
     pass
 
 
-def _pack(d: int, s: float, n: int, method: str, description: str,
-          values: np.ndarray) -> bytes:
+def _write(path, d: int, s: float, n: int, method: str, description: str,
+           values: np.ndarray) -> None:
+    """Header, description, payload and CRC written one after another.
+
+    The CRC is taken from the contiguous ``<c16`` array itself, so the
+    payload is never copied into a file-sized ``bytes``.
+    """
     try:
         tag = _METHOD_TAGS[method]
     except KeyError:
@@ -54,9 +59,12 @@ def _pack(d: int, s: float, n: int, method: str, description: str,
     desc = description.encode("utf-8")
     if len(desc) > 0xFFFF:
         raise GridFileError("description longer than 65535 bytes")
-    payload = np.ascontiguousarray(values, dtype="<c16").tobytes()
-    head = _HEAD.pack(MAGIC, FORMAT_VERSION, d, s, n, tag, len(desc))
-    return head + desc + payload + struct.pack("<I", zlib.crc32(payload))
+    payload = np.ascontiguousarray(values, dtype="<c16")
+    with open(path, "wb") as fh:
+        fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, d, s, n, tag, len(desc)))
+        fh.write(desc)
+        fh.write(payload)
+        fh.write(struct.pack("<I", zlib.crc32(payload)))
 
 
 def _unpack(raw: bytes):
@@ -87,8 +95,7 @@ def _unpack(raw: bytes):
 
 
 def write_grid(path, grid: PhaseSpaceGrid, description: str = "") -> None:
-    Path(path).write_bytes(_pack(grid.dim.d, grid.s, grid.n, grid.method,
-                                 description, grid.values))
+    _write(path, grid.dim.d, grid.s, grid.n, grid.method, description, grid.values)
 
 
 def read_grid(path):
@@ -106,7 +113,7 @@ def write_matrix(path, rho: np.ndarray, description: str = "") -> None:
     d = rho.shape[0]
     if rho.shape != (d, d):
         raise GridFileError("matrix payload must be square")
-    Path(path).write_bytes(_pack(d, 0.0, d, "matrix", description, rho))
+    _write(path, d, 0.0, d, "matrix", description, rho)
 
 
 def read_matrix(path) -> np.ndarray:

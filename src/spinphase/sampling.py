@@ -53,7 +53,10 @@ class PhaseSpaceGrid:
 
     ``values[k, l]`` is the function at (theta_k, phi_l).  The real part is
     the physical function for Hermitian inputs; the imaginary part is kept
-    as a diagnostic because general operators are first-class inputs.
+    as a diagnostic because general operators are first-class inputs.  A
+    grid synthesized from an exactly conjugate-symmetric table (methods c
+    and d on an exactly Hermitian rho) is exactly real: every imaginary
+    part is +0.0.
     """
 
     dim: SpinDimension
@@ -69,7 +72,11 @@ class PhaseSpaceGrid:
         return grid_phis(self.n)
 
     def imag_residual(self) -> float:
-        """max |Im| relative to max |value|; small for Hermitian inputs."""
+        """max |Im| relative to max |value|.
+
+        Exactly 0 for grids from exactly conjugate-symmetric tables; small
+        for other Hermitian inputs (direct, method b).
+        """
         peak = np.abs(self.values).max()
         if peak == 0.0:
             return 0.0
@@ -96,26 +103,47 @@ def _check_grid_size(dim: SpinDimension, n: int) -> int:
     return n
 
 
+def _synthesize(table: FourierTable, n: int, rows: int) -> np.ndarray:
+    """Rows k = 0..rows-1 of the series on theta_k = pi k / n, phi_l = 2 pi l / n.
+
+    Step 1 (theta) is a length-2n transform down each m-column; step 2 (phi)
+    a length-n transform along each kept row.  An exactly conjugate-symmetric
+    table, F_{-ell,-m} = conj(F_{ell m}) with no tolerance (the rule of
+    fourier._fill_table), describes a real function: only its columns
+    m >= 0 go through step 1, step 2 is a real-output transform, and every
+    imaginary part is +0.0.  Any other table keeps both transforms complex.
+    """
+    n = _check_grid_size(table.dim, n)
+    two_j = table.dim.two_j
+    c = table.coeffs
+    real = np.array_equal(c, np.conj(c[::-1, ::-1]))
+    cols = c[:, two_j:] if real else c
+    padded = np.zeros((2 * n, cols.shape[1]), dtype=complex)
+    padded[: two_j + 1] = cols[two_j:]
+    padded[2 * n - two_j:] = cols[:two_j]
+    # Unnormalized synthesis with e^{+i freq angle}: norm="forward" drops the 1/N.
+    theta = np.fft.ifft(padded, axis=0, norm="forward")[:rows]
+    if real:
+        return np.fft.irfft(theta, n, axis=1, norm="forward").astype(complex)
+    wrapped = np.zeros((rows, n), dtype=complex)
+    wrapped[:, : two_j + 1] = theta[:, two_j:]
+    wrapped[:, n - two_j:] = theta[:, :two_j]
+    return np.fft.ifft(wrapped, axis=1, norm="forward")
+
+
 def sample_fft_full(table: FourierTable, n: int) -> np.ndarray:
-    """Zero-padded FFT synthesis over the doubled theta domain.
+    """FFT synthesis over the doubled theta domain.
 
     Returns the full 2n x n array covering 0 <= theta < 2 pi; rows n..2n-1
     trace the same sphere a second time (glide images of rows 1..n-1).
     """
-    n = _check_grid_size(table.dim, n)
-    two_j = table.dim.two_j
-    freqs = np.arange(-two_j, two_j + 1)
-    padded = np.zeros((2 * n, n), dtype=complex)
-    padded[np.ix_(freqs % (2 * n), freqs % n)] = table.coeffs
-    # Unnormalized synthesis with e^{+i freq angle}: inverse FFT times N.
-    return np.fft.ifft2(padded) * (2 * n * n)
+    return _synthesize(table, n, 2 * int(n))
 
 
 def sample_fft(table: FourierTable, n: int, method: str = "c") -> PhaseSpaceGrid:
-    """Equiangular n x n sampling of the series; O(n^2 log^2 n)."""
-    full = sample_fft_full(table, n)
+    """Equiangular n x n sampling of the series; O(n^2 log n)."""
     return PhaseSpaceGrid(dim=table.dim, s=table.s, n=int(n),
-                          values=full[: int(n), :], method=method)
+                          values=_synthesize(table, n, int(n)), method=method)
 
 
 def eval_series(table: FourierTable, theta: float, phi: float) -> complex:

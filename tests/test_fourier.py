@@ -286,6 +286,38 @@ def test_mirrored_rows_match_rows_built_from_their_own_k(d, s, tmp_path):
         assert np.abs(table.coeffs[:two_j] - direct).max() < 1e-13
 
 
+@pytest.mark.parametrize("d", [12, 65])
+def test_mirrored_half_of_row_zero_matches_its_own_k(d, tmp_path):
+    # Row 0 keeps its m >= 0 half from K_0 and mirrors the rest, so here the
+    # m < 0 half of accumulate_row(rho, K_0) keeps K_0 = K_0^H under test.
+    from spinphase.fourier import _k_matrix, accumulate_row
+
+    dim = SpinDimension.from_d(d)
+    rho = random_density(dim, 50 + d)
+    basis = jy_eigenbasis(dim)
+    parity = build_parity(dim, 0.0)
+    two_j = dim.two_j
+    row0 = accumulate_row(rho, _k_matrix(basis.vectors, transform_parity(parity, basis).matrix, 0))
+    for table in (fourier_coefficients_method_c(rho, parity, basis),
+                  fourier_coefficients_method_d(rho, precompute_cache(dim, 0.0, tmp_path))):
+        assert np.abs(table.coeffs[two_j, :two_j] - row0[:two_j]).max() < 1e-13
+        assert abs(table.coeffs[two_j, two_j] - row0[two_j]) < 1e-13
+
+
+def test_hermitian_table_is_exactly_conjugate_symmetric_despite_roundoff(monkeypatch):
+    # A different BLAS may leave roundoff in Im F_00 or in F_{0,-m} - conj(F_{0m});
+    # inject some into every accumulated row and expect an exact mirror anyway.
+    accumulate = fourier.accumulate_row
+    monkeypatch.setattr(fourier, "accumulate_row",
+                        lambda rho, k: accumulate(rho, k) + (1e-19 + 3e-19j))
+    dim = SpinDimension.from_d(7)
+    rho = random_density(dim, 3)
+    table = fourier_coefficients_method_c(rho, build_parity(dim, 0.0))
+    c = table.coeffs
+    assert np.array_equal(c, np.conj(c[::-1, ::-1]))
+    assert not sample_fft(table, 14).values.imag.any()
+
+
 @pytest.mark.parametrize("d", [6, 9])
 def test_only_exactly_hermitian_rho_takes_the_half_path(d, tmp_path, monkeypatch):
     calls = {"accumulate_row": 0, "read_k": 0}

@@ -32,6 +32,31 @@ def test_binary_roundtrip_bit_identical(grid, tmp_path):
     assert np.array_equal(loaded.values, grid.values)
 
 
+def _reference_container(d, s, n, tag, description, values) -> bytes:
+    """The container as one bytes object: header + description + payload + CRC."""
+    import struct
+    import zlib
+
+    desc = description.encode("utf-8")
+    payload = np.ascontiguousarray(values, dtype="<c16").tobytes()
+    head = struct.pack("<4sIIdIBH", b"SWPG", 1, d, s, n, tag, len(desc))
+    return head + desc + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def test_written_files_equal_the_one_piece_container(grid, tmp_path):
+    write_grid(tmp_path / "g.bin", grid, "piecewise \u00e9")
+    expected = _reference_container(5, -0.5, 12, 0x43, "piecewise \u00e9", grid.values)
+    assert (tmp_path / "g.bin").read_bytes() == expected
+    strided = PhaseSpaceGrid(dim=grid.dim, s=grid.s, n=6, values=grid.values[::2, ::2],
+                             method="deriv-phi")
+    write_grid(tmp_path / "w.bin", strided)
+    expected = _reference_container(5, -0.5, 6, 0x50, "", grid.values[::2, ::2])
+    assert (tmp_path / "w.bin").read_bytes() == expected
+    rho = random_density(SpinDimension.from_d(4), 2).T  # Fortran order
+    write_matrix(tmp_path / "m.bin", rho, "rho")
+    assert (tmp_path / "m.bin").read_bytes() == _reference_container(4, 0.0, 4, 0x4D, "rho", rho)
+
+
 def test_csv_roundtrip_within_print_precision(grid):
     buf = io.StringIO()
     write_grid_csv(buf, grid)

@@ -285,3 +285,89 @@ def test_method_b_overflow_is_raised_before_the_expansion(monkeypatch):
         method_b_grid(rho, 1.0, 2 * d)
     with pytest.raises(ParityOverflowError, match=f"d = {d}, s = 1.0"):
         method_b_eval(rho, 1.0, 0.3, 0.4)
+
+
+def _reference_full(table, n):
+    """The complex synthesis used before the two-step transform: one ifft2."""
+    two_j = table.dim.two_j
+    freqs = np.arange(-two_j, two_j + 1)
+    padded = np.zeros((2 * n, n), dtype=complex)
+    padded[np.ix_(freqs % (2 * n), freqs % n)] = table.coeffs
+    return np.fft.ifft2(padded) * (2 * n * n)
+
+
+def _direct_error(grid, rho, parity, points=6):
+    """Largest |grid - direct_eval| over a spread of nodes."""
+    n = grid.n
+    thetas, phis = grid_thetas(n), grid_phis(n)
+    nodes = np.linspace(0, n - 1, points).astype(int)
+    return max(abs(grid.values[k, l] - direct_eval(rho, parity, thetas[k], phis[l]))
+               for k in nodes for l in nodes[::-1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 64, 65])
+@pytest.mark.parametrize("s", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("n_of_d", [lambda d: 2 * d, lambda d: 512], ids=["2d", "512"])
+def test_real_synthesis_matches_reference_and_oracle(d, s, n_of_d):
+    dim = SpinDimension.from_d(d)
+    rho = random_density(dim, 300 + d)
+    parity = build_parity(dim, s)
+    table = fourier_coefficients_method_c(rho, parity)
+    n = n_of_d(d)
+    grid = sample_fft(table, n)
+    assert grid.values.dtype == complex
+    assert not grid.values.imag.any()
+    assert grid.imag_residual() == 0.0
+    reference = _reference_full(table, n)[:n]
+    peak = np.abs(reference).max()
+    assert np.abs(grid.values - reference).max() <= 1e-14 * peak
+    assert _direct_error(grid, rho, parity) <= 1e-12 * max(1.0, peak)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_sample_fft_is_the_first_half_of_the_full_array(hermitian):
+    dim = SpinDimension.from_d(7)
+    rng = np.random.default_rng(7)
+    general = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    rho = random_density(dim, 7) if hermitian else general
+    table = fourier_coefficients_method_c(rho, build_parity(dim, 0.0))
+    for n in (14, 40):
+        assert np.array_equal(sample_fft(table, n).values, sample_fft_full(table, n)[:n])
+
+
+def test_operators_off_hermitian_keep_the_complex_path():
+    d = 9
+    dim = SpinDimension.from_d(d)
+    parity = build_parity(dim, -1.0)
+    rng = np.random.default_rng(d)
+    a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+    one_ulp = random_density(dim, 9)
+    one_ulp[0, 1] = complex(np.nextafter(one_ulp[0, 1].real, np.inf), one_ulp[0, 1].imag)
+    for rho in (np.outer(a, b.conj()), one_ulp):
+        table = fourier_coefficients_method_c(rho, parity)
+        for n in (2 * d, 64):
+            grid = sample_fft(table, n)
+            assert grid.values.imag.any()
+            reference = _reference_full(table, n)[:n]
+            peak = np.abs(reference).max()
+            assert np.abs(grid.values - reference).max() <= 1e-14 * peak
+            assert _direct_error(grid, rho, parity) <= 1e-12 * max(1.0, peak)
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0])
+def test_built_in_families_give_exactly_real_grids(s, tmp_path):
+    from spinphase.fourier import derivative_coefficients
+    from spinphase.kcache import fourier_coefficients_method_d, precompute_cache
+    from spinphase.states import coherent, ghz, squeezed
+
+    dim = SpinDimension.from_d(9)
+    cache = precompute_cache(dim, s, tmp_path)
+    parity = build_parity(dim, s)
+    families = [ghz(dim), dicke(dim, 0.0), squeezed(dim, 0.05), coherent(dim, 0.7, 1.9),
+                maximally_mixed(dim), random_density(dim, 4)]
+    for rho in families:
+        for table in (fourier_coefficients_method_c(rho, parity),
+                      fourier_coefficients_method_d(rho, cache)):
+            for t in (table, derivative_coefficients(table, "theta"),
+                      derivative_coefficients(table, "phi")):
+                assert not sample_fft(t, 24).values.imag.any()
