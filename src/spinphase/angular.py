@@ -338,20 +338,18 @@ def _log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def wigner_d(dim: SpinDimension, theta: float, basis: EigenBasis | None = None) -> np.ndarray:
+def wigner_d(dim: SpinDimension, theta: float) -> np.ndarray:
     """exp(i theta J_y) assembled from the J_y eigenprojectors."""
-    if basis is None:
-        basis = jy_eigenbasis(dim)
+    basis = jy_eigenbasis(dim)
     phases = np.exp(1j * theta * basis.eigenvalues)
     u = basis.vectors
     return (u * phases) @ u.conj().T
 
 
-def rotation_operator(dim: SpinDimension, theta: float, phi: float,
-                      basis: EigenBasis | None = None) -> np.ndarray:
+def rotation_operator(dim: SpinDimension, theta: float, phi: float) -> np.ndarray:
     """Spherical rotation exp(-i phi J_z) exp(-i theta J_y).
 
     Column 0 is the spin-coherent state pointing along (theta, phi).
     """
     z_phases = np.exp(-1j * phi * dim.m_values())
-    return z_phases[:, None] * wigner_d(dim, -theta, basis)
+    return z_phases[:, None] * wigner_d(dim, -theta)

@@ -15,34 +15,20 @@ import time
 import tracemalloc
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .angular import SpinDimension, jy_eigenbasis
 from .cgc import expansion_coefficients
 from .fourier import fourier_coefficients_method_c
-from .kcache import CacheError, fourier_coefficients_method_d, open_cache
+from .kcache import CacheError, cache_directory, fourier_coefficients_method_d, open_cache
 from .parity import build_parity
-from .sampling import sample_fft
+from .sampling import default_grid_size, sample_fft
 from .states import random_density
 
-__all__ = ["BenchRow", "BenchReport", "cache_directory", "default_grid_size", "run_bench"]
+__all__ = ["BenchRow", "BenchReport", "run_bench"]
 
 METHODS = ("b", "c", "d")
-
-
-def cache_directory(root, d: int, s: float) -> Path:
-    """Per-(d, s) cache directory inside a cache root."""
-    return Path(root) / f"d{int(d):04d}_s{float(s)!r}"
-
-
-def default_grid_size(dim: SpinDimension) -> int:
-    """max(512, next power of two >= 4J+2)."""
-    n = 512
-    while n < 2 * dim.d:
-        n *= 2
-    return n
 
 
 @dataclass
@@ -121,15 +107,15 @@ def run_bench(dims, methods=("c", "d"), repetitions: int = 3, s: float = 0.0,
         for d in dims:
             dim = SpinDimension.from_d(d)
             rho = random_density(dim, seed)
-            basis = jy_eigenbasis(dim)
+            jy_eigenbasis(dim)  # built here so no timed call pays for it
             parity = build_parity(dim, s)
             n = default_grid_size(dim)
-            table = fourier_coefficients_method_c(rho, parity, basis)
+            table = fourier_coefficients_method_c(rho, parity)
             fft_s = _median_time(lambda: sample_fft(table, n), repetitions)
 
             for method in methods:
                 if method == "c":
-                    work = lambda: fourier_coefficients_method_c(rho, parity, basis)
+                    work = lambda: fourier_coefficients_method_c(rho, parity)
                 elif method == "b":
                     work = lambda: expansion_coefficients(rho)
                 else:

@@ -372,9 +372,7 @@ def harmonic_theta_sums(weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-def method_b_eval(rho: np.ndarray, s: float, theta: float, phi: float,
-                  table: TensorOperatorTable | None = None,
-                  coeffs: CoefficientTable | None = None) -> complex:
+def method_b_eval(rho: np.ndarray, s: float, theta: float, phi: float) -> complex:
     """Phase-space value at one angle from the tensor-operator expansion.
 
     This is the traditional baseline: expand rho into c_jm, then sum
@@ -385,8 +383,7 @@ def method_b_eval(rho: np.ndarray, s: float, theta: float, phi: float,
     dim = SpinDimension.from_d(np.shape(rho)[0])
     rho = as_density_matrix(rho, dim)
     gamma_pow = gamma_power(dim, validate_s(dim, s))
-    if coeffs is None:
-        coeffs = expansion_coefficients(rho, table)
+    coeffs = expansion_coefficients(rho)
     total = 0.0 + 0.0j
     for j in range(dim.two_j + 1):
         row = coeffs.rows[j]

@@ -17,16 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .angular import SpinDimension, jy_eigenbasis
-from .bench import cache_directory, default_grid_size, run_bench
+from .angular import SpinDimension
 from .fourier import derivative_coefficients, fourier_coefficients_method_c
 from .gridfile import GridFileError, load_matrix, write_grid, write_grid_csv
-from .kcache import CacheError, fourier_coefficients_method_d, open_cache, precompute_cache
+from .kcache import (CacheError, cache_directory, fourier_coefficients_method_d, open_cache,
+                     precompute_cache)
 from .parity import build_parity, validate_s
-from .sampling import PhaseSpaceGrid, direct_grid, method_b_grid, sample_fft, window_extract
+from .sampling import (PhaseSpaceGrid, default_grid_size, direct_grid, method_b_grid,
+                       sample_fft, window_extract)
 from . import states
 
 KIND_TO_S = {"wigner": 0.0, "husimi": -1.0, "glauber": 1.0}
+# The --param keys each state family takes.
+STATE_PARAMS = {"ghz": (), "dicke": ("m",), "squeezed": ("xi",),
+                "coherent": ("theta0", "phi0"), "mixed": (), "random": ("seed",)}
 ENV_CACHE = "SPINPHASE_CACHE"
 
 
@@ -73,6 +77,8 @@ def _parse_params(pairs) -> dict:
 
 def _build_state(args, dim: SpinDimension) -> tuple[np.ndarray, str]:
     if args.input is not None:
+        if args.param:
+            raise CliError("--param does not apply to --input")
         rho = load_matrix(args.input)
         if rho.shape[0] != dim.d:
             raise CliError(f"input matrix is {rho.shape[0]}x{rho.shape[0]}, "
@@ -80,6 +86,11 @@ def _build_state(args, dim: SpinDimension) -> tuple[np.ndarray, str]:
         return rho, f"matrix:{args.input}"
     params = _parse_params(args.param)
     name = args.state
+    unknown = sorted(set(params) - set(STATE_PARAMS[name]))
+    if unknown:
+        accepted = ", ".join(STATE_PARAMS[name]) or "none"
+        raise CliError(f"--state {name} does not take --param {', '.join(unknown)} "
+                       f"(accepted keys: {accepted})")
     if name == "ghz":
         return states.ghz(dim), "ghz"
     if name == "dicke":
@@ -96,46 +107,44 @@ def _build_state(args, dim: SpinDimension) -> tuple[np.ndarray, str]:
         return states.coherent(dim, theta0, phi0), f"coherent({theta0},{phi0})"
     if name == "mixed":
         return states.maximally_mixed(dim), "mixed"
-    if name == "random":
-        if "seed" not in params:
-            raise CliError("random needs --param seed=<int>")
-        seed = int(params["seed"])
-        return states.random_density(dim, seed), f"random(seed={seed})"
-    raise CliError(f"unknown state family {name!r}")
+    if "seed" not in params:  # name == "random", the last of the choices
+        raise CliError("random needs --param seed=<int>")
+    seed = int(params["seed"])
+    return states.random_density(dim, seed), f"random(seed={seed})"
 
 
 def _compute_table(args, dim, rho, s):
-    method = args.method
-    if method == "c":
-        return fourier_coefficients_method_c(rho, build_parity(dim, s), jy_eigenbasis(dim))
-    if method == "d":
-        validate_s(dim, s)
-        directory = cache_directory(_cache_root(args), dim.d, s)
-        try:
-            cache = open_cache(directory, dim.d, s)
-        except CacheError as exc:
-            raise CliError(f"cannot use cached method: {exc}") from exc
-        return fourier_coefficients_method_d(rho, cache)
-    raise CliError(f"method {method!r} does not produce a coefficient table")
+    if args.method == "c":
+        return fourier_coefficients_method_c(rho, build_parity(dim, s))
+    validate_s(dim, s)
+    directory = cache_directory(_cache_root(args), dim.d, s)
+    try:
+        cache = open_cache(directory, dim.d, s)
+    except CacheError as exc:
+        raise CliError(f"cannot use cached method: {exc}") from exc
+    return fourier_coefficients_method_d(rho, cache)
+
+
+def _check_output(args) -> None:
+    """Reject output options that cannot go together before any work is done."""
+    if args.format == "bin" and args.out is None:
+        raise CliError("binary output needs --out")
+    if args.format == "bin" and (args.window_theta_max is not None or args.window_phi):
+        raise CliError("windows are only available with --format csv")
 
 
 def _emit_grid(args, grid: PhaseSpaceGrid, description: str, out=None) -> None:
     out = out if out is not None else args.out
-    window = None
-    if args.window_theta_max is not None or args.window_phi is not None:
-        theta_max = args.window_theta_max if args.window_theta_max is not None else np.pi
-        phi_range = tuple(args.window_phi) if args.window_phi else None
-        window = window_extract(grid, theta_max, phi_range)
     if args.format == "bin":
-        if out is None:
-            raise CliError("binary output needs --out")
-        if window is not None:
-            raise CliError("windows are only available with --format csv")
         write_grid(out, grid, description)
         print(f"wrote {out} (d={grid.dim.d}, s={grid.s}, n={grid.n}, "
               f"method={grid.method})")
         return
-    rows = grid if window is None else window
+    rows = grid
+    if args.window_theta_max is not None or args.window_phi:
+        theta_max = args.window_theta_max if args.window_theta_max is not None else np.pi
+        phi_range = tuple(args.window_phi) if args.window_phi else None
+        rows = window_extract(grid, theta_max, phi_range)
     if out is None:
         write_grid_csv(sys.stdout, rows)
         return
@@ -158,6 +167,7 @@ def cmd_precompute(args) -> int:
 
 
 def cmd_compute(args) -> int:
+    _check_output(args)
     dim = _resolve_dim(args.dim)
     s = _resolve_s(args)
     rho, description = _build_state(args, dim)
@@ -167,19 +177,16 @@ def cmd_compute(args) -> int:
         grid = sample_fft(table, n, method=args.method)
     elif args.method == "b":
         grid = method_b_grid(rho, s, n)
-    elif args.method == "direct":
-        grid = direct_grid(rho, build_parity(dim, s), n)
     else:
-        raise CliError(f"unknown method {args.method!r}")
+        grid = direct_grid(rho, build_parity(dim, s), n)
     _emit_grid(args, grid, description)
     return 0
 
 
 def cmd_deriv(args) -> int:
+    _check_output(args)
     dim = _resolve_dim(args.dim)
     s = _resolve_s(args)
-    if args.method not in ("c", "d"):
-        raise CliError("derivatives need a coefficient method: --method c or d")
     rho, description = _build_state(args, dim)
     n = args.n if args.n is not None else default_grid_size(dim)
     table = _compute_table(args, dim, rho, s)
@@ -196,6 +203,8 @@ def cmd_deriv(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import run_bench  # loads statistics and tracemalloc only for this command
+
     dims = [int(tok) for tok in args.dims.split(",") if tok]
     methods = [tok.strip().lower() for tok in args.methods.split(",") if tok]
     cache_root = args.cache or os.environ.get(ENV_CACHE)
@@ -231,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("compute", cmd_compute), ("deriv", cmd_deriv)):
         cmd = sub.add_parser(name, help=helps[name])
         src = cmd.add_mutually_exclusive_group(required=True)
-        src.add_argument("--state",
-                         choices=["ghz", "dicke", "squeezed", "coherent", "mixed", "random"])
+        src.add_argument("--state", choices=list(STATE_PARAMS))
         src.add_argument("--input", help="density-matrix file (.bin container or .csv)")
         cmd.add_argument("--param", action="append", metavar="KEY=VALUE",
                          help="state parameter (m=, xi=, theta0=, phi0=, seed=)")

@@ -156,16 +156,14 @@ def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
     return FourierTable(dim=dim, s=s, coeffs=coeffs)
 
 
-def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator,
-                                  basis: EigenBasis | None = None) -> FourierTable:
+def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> FourierTable:
     """Fourier coefficients with K matrices built on the fly and discarded.
 
     O(d^4) time, O(d^2) memory: one K matrix exists at a time.
     """
     dim = parity.dim
     rho = as_density_matrix(rho, dim)
-    if basis is None:
-        basis = jy_eigenbasis(dim)
+    basis = jy_eigenbasis(dim)
     mtilde = transform_parity(parity, basis).matrix
     u = basis.vectors
     return _fill_table(rho, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell))

@@ -33,6 +33,7 @@ __all__ = [
     "CacheCorruptError",
     "CacheMismatchError",
     "KCache",
+    "cache_directory",
     "precompute_cache",
     "fourier_coefficients_method_d",
 ]
@@ -59,6 +60,22 @@ class CacheCorruptError(CacheError):
 
 class CacheMismatchError(CacheError):
     pass
+
+
+def cache_directory(root, d: int, s: float) -> Path:
+    """Per-(d, s) cache directory inside a cache root."""
+    return Path(root) / f"d{int(d):04d}_s{float(s)!r}"
+
+
+def _complete_shape(manifest) -> bool:
+    """A JSON object flagged complete, with integer d, float-parsable s and record objects."""
+    try:
+        float(manifest["s"])
+        return (manifest["complete"] is True and type(manifest["d"]) is int
+                and all(type(rec["ell"]) is int and type(rec["payload_bytes"]) is int
+                        for rec in manifest["records"]))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return False
 
 
 def _record_name(ell: int) -> str:
@@ -128,6 +145,7 @@ class KCache:
         return self.directory / "manifest.json"
 
     def manifest(self) -> dict:
+        """Manifest of a complete cache for this (d, s) that lists each record once."""
         try:
             manifest = json.loads(self.manifest_path.read_text())
         except FileNotFoundError:
@@ -137,22 +155,25 @@ class KCache:
             raise CacheIncompleteError(
                 f"manifest in {self.directory} is unreadable ({exc}); "
                 "cache is incomplete") from None
-        if not manifest.get("complete", False):
-            raise CacheIncompleteError(f"cache in {self.directory} is flagged incomplete")
+        if not _complete_shape(manifest):
+            raise CacheIncompleteError(
+                f"manifest in {self.directory} does not describe a complete cache")
         if manifest["d"] != self.d or float(manifest["s"]) != self.s:
             raise CacheMismatchError(
                 f"cache in {self.directory} holds d={manifest['d']}, s={manifest['s']}, "
                 f"requested d={self.d}, s={self.s}")
+        expected = [COMPANION_ELL, *range(1 - self.d, self.d)]  # ascending: the sentinel is least
+        if sorted(rec["ell"] for rec in manifest["records"]) != expected:
+            raise CacheIncompleteError(
+                f"manifest in {self.directory} does not list the {2 * self.d} records")
         return manifest
 
     def k_payload_bytes(self) -> int:
-        manifest = self.manifest()
-        return sum(rec["payload_bytes"] for rec in manifest["records"]
+        return sum(rec["payload_bytes"] for rec in self.manifest()["records"]
                    if rec["ell"] != COMPANION_ELL)
 
     def companion_payload_bytes(self) -> int:
-        manifest = self.manifest()
-        return sum(rec["payload_bytes"] for rec in manifest["records"]
+        return sum(rec["payload_bytes"] for rec in self.manifest()["records"]
                    if rec["ell"] == COMPANION_ELL)
 
     def read_k(self, ell: int) -> np.ndarray:
@@ -210,7 +231,6 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
                     kept[ell] = rec
                 except (CacheCorruptError, CacheIncompleteError):
                     stale.add(ell)
-            stale.update(set(all_ells) - set(kept) - stale)
             if not stale:
                 cache.last_action = "verified"
                 return cache
@@ -273,11 +293,5 @@ def fourier_coefficients_method_d(rho: np.ndarray, cache: KCache) -> FourierTabl
     """
     dim = cache.dim
     rho = as_density_matrix(rho, dim)
-    manifest = cache.manifest()
-    two_j = dim.two_j
-    expected = set(range(-two_j, two_j + 1))
-    listed = {rec["ell"] for rec in manifest["records"] if rec["ell"] != COMPANION_ELL}
-    if listed != expected:
-        raise CacheIncompleteError(
-            f"cache lists {len(listed)} K records, expected {len(expected)}")
+    cache.manifest()  # lists every record, or raises
     return _fill_table(rho, dim, cache.s, cache.read_k, on_mirrored=cache.read_k)

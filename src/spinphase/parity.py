@@ -109,7 +109,6 @@ class ParityOperator:
     dim: SpinDimension
     s: float
     diag: np.ndarray
-    radius: float
 
     def matrix(self) -> np.ndarray:
         return np.diag(self.diag.astype(complex))
@@ -127,15 +126,14 @@ class TransformedParity:
 def build_parity(dim: SpinDimension, s: float, allow_extended_s: bool = False) -> ParityOperator:
     """Assemble M_s = (1/R) sum_j sqrt((2j+1)/4pi) (gamma_j)^(-s) T_j0."""
     s = validate_s(dim, s, allow_extended_s)
-    radius = sphere_radius(dim)
     j = np.arange(dim.two_j + 1, dtype=float)
     log_weight = (0.5 * (np.log(2.0 * j + 1.0) - LOG_4PI)
-                  - s * log_gamma_j(dim) - math.log(radius))
+                  - s * log_gamma_j(dim) - math.log(sphere_radius(dim)))
     diag = _exp_weights(log_weight, dim, s) @ tensor_diag_table(dim)
     if not np.all(np.isfinite(diag)):
         raise ParityOverflowError(f"parity diagonal overflows for d = {dim.d}, s = {s}")
     diag.setflags(write=False)
-    return ParityOperator(dim=dim, s=s, diag=diag, radius=radius)
+    return ParityOperator(dim=dim, s=s, diag=diag)
 
 
 def transform_parity(parity: ParityOperator, basis: EigenBasis) -> TransformedParity:

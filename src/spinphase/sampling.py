@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import EigenBasis, SpinDimension, jy_eigenbasis, rotation_operator, wigner_d
-from .cgc import (CoefficientTable, TensorOperatorTable, expansion_coefficients,
-                  harmonic_theta_sums)
+from .angular import SpinDimension, rotation_operator, wigner_d
+from .cgc import CoefficientTable, expansion_coefficients, harmonic_theta_sums
 from .fourier import FourierTable
 from .parity import ParityOperator, gamma_power, sphere_radius, validate_s
 from .states import as_density_matrix
@@ -24,6 +23,7 @@ __all__ = [
     "grid_thetas",
     "grid_phis",
     "minimal_grid_size",
+    "default_grid_size",
     "sample_fft",
     "sample_fft_full",
     "eval_series",
@@ -37,6 +37,11 @@ __all__ = [
 def minimal_grid_size(dim: SpinDimension) -> int:
     """Coarsest complete grid: n = 4J + 2 = 2d (always even)."""
     return 2 * dim.d
+
+
+def default_grid_size(dim: SpinDimension) -> int:
+    """max(512, next power of two >= 4J+2)."""
+    return max(512, 1 << (2 * dim.d - 1).bit_length())
 
 
 def grid_thetas(n: int) -> np.ndarray:
@@ -154,8 +159,7 @@ def eval_series(table: FourierTable, theta: float, phi: float) -> complex:
     return complex(e_theta @ table.coeffs @ e_phi)
 
 
-def direct_eval(rho: np.ndarray, parity: ParityOperator, theta: float, phi: float,
-                basis: EigenBasis | None = None) -> complex:
+def direct_eval(rho: np.ndarray, parity: ParityOperator, theta: float, phi: float) -> complex:
     """Ground-truth oracle: Tr[rho R(theta, phi) M_s R^dagger(theta, phi)].
 
     Dense matrix algebra, O(d^3) per point; used to validate every faster
@@ -163,13 +167,12 @@ def direct_eval(rho: np.ndarray, parity: ParityOperator, theta: float, phi: floa
     """
     dim = parity.dim
     rho = as_density_matrix(rho, dim)
-    r = rotation_operator(dim, theta, phi, basis)
+    r = rotation_operator(dim, theta, phi)
     rotated = (r * parity.diag) @ r.conj().T
     return complex(np.sum(rho * rotated.T))
 
 
-def direct_grid(rho: np.ndarray, parity: ParityOperator, n: int,
-                basis: EigenBasis | None = None) -> PhaseSpaceGrid:
+def direct_grid(rho: np.ndarray, parity: ParityOperator, n: int) -> PhaseSpaceGrid:
     """Rotated-parity expectation values evaluated at every grid node.
 
     Reuses one Wigner-d conjugation per theta row; the phi sweep is a
@@ -178,13 +181,11 @@ def direct_grid(rho: np.ndarray, parity: ParityOperator, n: int,
     dim = parity.dim
     rho = as_density_matrix(rho, dim)
     n = _check_grid_size(dim, n)
-    if basis is None:
-        basis = jy_eigenbasis(dim)
     m_desc = dim.m_values()
     e_phi = np.exp(1j * np.outer(grid_phis(n), m_desc))
     values = np.empty((n, n), dtype=complex)
     for k, theta in enumerate(grid_thetas(n)):
-        y = wigner_d(dim, -theta, basis)
+        y = wigner_d(dim, -theta)
         w = (y * parity.diag) @ y.conj().T
         x = w * rho.T
         values[k, :] = np.einsum("lb,ba,la->l", e_phi.conj(), x, e_phi, optimize=True)
@@ -192,9 +193,7 @@ def direct_grid(rho: np.ndarray, parity: ParityOperator, n: int,
 
 
 def method_b_grid(rho: np.ndarray, s: float, n: int,
-                  table: TensorOperatorTable | None = None,
-                  coeffs: CoefficientTable | None = None,
-                  allow_extended_s: bool = False) -> PhaseSpaceGrid:
+                  coeffs: CoefficientTable | None = None) -> PhaseSpaceGrid:
     """Tensor-operator baseline evaluated pointwise on the grid.
 
     Same expansion as method_b_eval, vectorized over the grid; no FFT is
@@ -203,10 +202,10 @@ def method_b_grid(rho: np.ndarray, s: float, n: int,
     dim = SpinDimension.from_d(np.shape(rho)[0])
     rho = as_density_matrix(rho, dim)
     n = _check_grid_size(dim, n)
-    s = validate_s(dim, s, allow_extended_s)
+    s = validate_s(dim, s)
     gamma_pow = gamma_power(dim, s)
     if coeffs is None:
-        coeffs = expansion_coefficients(rho, table)
+        coeffs = expansion_coefficients(rho)
     weights = coeffs.dense() * (gamma_pow / sphere_radius(dim))[:, None]
     profile_sums = harmonic_theta_sums(weights, grid_thetas(n))
     m_vals = np.arange(-dim.two_j, dim.two_j + 1)

@@ -56,12 +56,12 @@ def test_criterion_1_four_way_oracle_equivalence(tmp_path):
             parity = build_parity(dim, s)
             cache = precompute_cache(dim, s, cache_directory(tmp_path, d, s))
             for rho, coeffs in zip(rhos, coeff_tables):
-                table_c = fourier_coefficients_method_c(rho, parity, basis)
+                table_c = fourier_coefficients_method_c(rho, parity)
                 grids = {
                     "c": sample_fft(table_c, n).values,
                     "d": sample_fft(fourier_coefficients_method_d(rho, cache), n).values,
                     "b": method_b_grid(rho, s, n, coeffs=coeffs).values,
-                    "direct": direct_grid(rho, parity, n, basis).values,
+                    "direct": direct_grid(rho, parity, n).values,
                 }
                 names = list(grids)
                 for i, first in enumerate(names):
@@ -88,7 +88,7 @@ def test_criterion_2_tensor_operator_precision():
                 continue
             for m in sorted({0, j}):
                 rho = tensor_operator(dim, j, m)
-                grid = sample_fft(fourier_coefficients_method_c(rho, parity, basis), n)
+                grid = sample_fft(fourier_coefficients_method_c(rho, parity), n)
                 reference = harmonic_grid(j, m, thetas, phis) / radius
                 worst = max(worst, _rms(grid.values, reference))
     elapsed = time.perf_counter() - started

@@ -346,3 +346,51 @@ def test_deriv_from_cache(tmp_path):
     with open(out_c) as fh:
         _, _, vc = read_grid_csv(fh)
     assert np.abs(vd - vc).max() < 1e-12
+
+
+@pytest.mark.parametrize("state,param,accepted", [
+    ("coherent", "theta=1.2", "theta0, phi0"),
+    ("squeezed", "chi=0.3", "xi"),
+    ("ghz", "m=1", "none"),
+])
+def test_state_rejects_keys_it_does_not_take(capsys, state, param, accepted):
+    assert run("compute", "--state", state, "--param", param, "--dim", 4,
+               "--n", 8) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"accepted keys: {accepted})" in err
+
+
+def test_param_with_input_is_an_error(tmp_path, capsys):
+    path = tmp_path / "rho.bin"
+    write_matrix(path, random_density(SpinDimension.from_d(3), 1))
+    assert run("compute", "--input", path, "--param", "seed=1", "--dim", 3,
+               "--n", 8) == 1
+    assert "--param does not apply to --input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["compute"], ["deriv", "--variable", "theta"]])
+@pytest.mark.parametrize("options,message", [
+    (["--format", "bin"], "binary output needs --out"),
+    (["--format", "bin", "--out", "never.bin", "--window-theta-max", "1"],
+     "windows are only available with --format csv"),
+    (["--format", "bin", "--out", "never.bin", "--window-phi", "0", "1"],
+     "windows are only available with --format csv"),
+])
+def test_output_options_are_checked_before_any_work(monkeypatch, capsys, command,
+                                                     options, message):
+    def no_table(*args):
+        raise AssertionError("the table was computed before the output options were checked")
+
+    monkeypatch.setattr("spinphase.cli.fourier_coefficients_method_c", no_table)
+    assert run(*command, "--state", "ghz", "--dim", 4, "--n", 8, *options) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_import_does_not_load_the_bench_harness():
+    probe = ("import sys, spinphase.cli; "
+             "print([m for m in ('spinphase.bench', 'statistics', 'tracemalloc') "
+             "if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"

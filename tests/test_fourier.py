@@ -119,7 +119,7 @@ def test_method_c_ghz_edge_columns():
     rho = ghz(dim)
     basis = jy_eigenbasis(dim)
     parity = build_parity(dim, 0.0)
-    table = fourier_coefficients_method_c(rho, parity, basis)
+    table = fourier_coefficients_method_c(rho, parity)
     mtilde = transform_parity(parity, basis)
     two_j = dim.two_j
     for ell in range(-two_j, two_j + 1):
@@ -281,7 +281,7 @@ def test_mirrored_rows_match_rows_built_from_their_own_k(d, s, tmp_path):
     two_j = dim.two_j
     direct = np.array([accumulate_row(rho, _k_matrix(basis.vectors, mtilde, ell))
                        for ell in range(-two_j, 0)])
-    for table in (fourier_coefficients_method_c(rho, parity, basis),
+    for table in (fourier_coefficients_method_c(rho, parity),
                   fourier_coefficients_method_d(rho, precompute_cache(dim, s, tmp_path))):
         assert np.abs(table.coeffs[:two_j] - direct).max() < 1e-13
 
@@ -298,7 +298,7 @@ def test_mirrored_half_of_row_zero_matches_its_own_k(d, tmp_path):
     parity = build_parity(dim, 0.0)
     two_j = dim.two_j
     row0 = accumulate_row(rho, _k_matrix(basis.vectors, transform_parity(parity, basis).matrix, 0))
-    for table in (fourier_coefficients_method_c(rho, parity, basis),
+    for table in (fourier_coefficients_method_c(rho, parity),
                   fourier_coefficients_method_d(rho, precompute_cache(dim, 0.0, tmp_path))):
         assert np.abs(table.coeffs[two_j, :two_j] - row0[:two_j]).max() < 1e-13
         assert abs(table.coeffs[two_j, two_j] - row0[two_j]) < 1e-13

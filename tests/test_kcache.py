@@ -7,6 +7,7 @@ import pytest
 
 from spinphase import kcache
 from spinphase.angular import SpinDimension, jy_eigenbasis
+from spinphase.cli import main
 from spinphase.fourier import fourier_coefficients_method_c
 from spinphase.kcache import (CacheCorruptError, CacheIncompleteError,
                               CacheMismatchError, fourier_coefficients_method_d,
@@ -172,3 +173,54 @@ def test_parallel_precompute_holds_few_records(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * record_bytes
+
+
+def _drop_first_ell(manifest):
+    del manifest["records"][0]["ell"]
+    return manifest
+
+
+# Manifests that parse as JSON but do not describe a complete cache.
+WRONG_SHAPES = {
+    "flag-only": lambda manifest: {"complete": True},
+    "list": lambda manifest: [],
+    "record-without-ell": _drop_first_ell,
+    "s-not-a-number": lambda manifest: dict(manifest, s="abc"),
+    "complete-not-true": lambda manifest: dict(manifest, complete=1),
+    "record-missing": lambda manifest: dict(manifest, records=manifest["records"][1:]),
+    "record-twice": lambda manifest: dict(
+        manifest, records=manifest["records"][1:] + manifest["records"][1:2]),
+}
+
+
+def _reshape_manifest(cache, name):
+    manifest = json.loads(cache.manifest_path.read_text())
+    cache.manifest_path.write_text(json.dumps(WRONG_SHAPES[name](manifest)))
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_wrong_shape_manifest_is_incomplete(cache10, name):
+    _reshape_manifest(cache10, name)
+    with pytest.raises(CacheIncompleteError):
+        open_cache(cache10.directory, 10, 0.0)
+    with pytest.raises(CacheIncompleteError):
+        fourier_coefficients_method_d(random_density(SpinDimension.from_d(10), 1), cache10)
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_wrong_shape_manifest_is_rebuilt(cache10, name):
+    reference = (cache10.directory / "k_p00003.bin").read_bytes()
+    _reshape_manifest(cache10, name)
+    rebuilt = precompute_cache(SpinDimension.from_d(10), 0.0, cache10.directory)
+    assert rebuilt.last_action == "written"
+    assert open_cache(cache10.directory, 10, 0.0).manifest()["complete"] is True
+    assert (cache10.directory / "k_p00003.bin").read_bytes() == reference
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPES))
+def test_wrong_shape_manifest_is_a_cli_error(tmp_path, capsys, name):
+    cache = precompute_cache(SpinDimension.from_d(6), 0.0, tmp_path / "d0006_s0.0")
+    _reshape_manifest(cache, name)
+    assert main(["compute", "--state", "ghz", "--dim", "6", "--n", "16",
+                 "--method", "d", "--cache", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot use cached method: ")

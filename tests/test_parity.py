@@ -125,8 +125,7 @@ def test_parity_build_is_warning_free_at_large_dimension():
 def test_transform_identity_kernel():
     dim = SpinDimension.from_d(5)
     basis = jy_eigenbasis(dim)
-    synthetic = ParityOperator(dim=dim, s=0.0, diag=np.ones(5),
-                               radius=sphere_radius(dim))
+    synthetic = ParityOperator(dim=dim, s=0.0, diag=np.ones(5))
     transformed = transform_parity(synthetic, basis)
     assert np.abs(transformed.matrix - np.eye(5)).max() < 1e-13
 
