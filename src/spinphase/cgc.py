@@ -382,7 +382,7 @@ def method_b_eval(rho: np.ndarray, s: float, theta: float, phi: float) -> comple
 
     dim = SpinDimension.from_d(np.shape(rho)[0])
     rho = as_density_matrix(rho, dim)
-    gamma_pow = gamma_power(dim, validate_s(dim, s))
+    gamma_pow = gamma_power(dim, validate_s(s))
     coeffs = expansion_coefficients(rho)
     total = 0.0 + 0.0j
     for j in range(dim.two_j + 1):

@@ -116,7 +116,7 @@ def _build_state(args, dim: SpinDimension) -> tuple[np.ndarray, str]:
 def _compute_table(args, dim, rho, s):
     if args.method == "c":
         return fourier_coefficients_method_c(rho, build_parity(dim, s))
-    validate_s(dim, s)
+    validate_s(s)
     directory = cache_directory(_cache_root(args), dim.d, s)
     try:
         cache = open_cache(directory, dim.d, s)

@@ -8,6 +8,9 @@ Record format (little endian): magic ``SWKL``, u32 format version, u32 d,
 i32 ell (``COMPANION_ELL`` sentinel for the companion), f64 s, payload of
 interleaved f64 (re, im) pairs in row-major order, trailing CRC-32 of the
 payload bytes.
+
+K_{-ell} is K_ell^H, so ``precompute_cache`` builds one product per +-ell
+pair and writes record -ell as the exact conjugate transpose of record ell.
 """
 
 from __future__ import annotations
@@ -241,18 +244,13 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
     parity = build_parity(dim, s)
     mtilde = transform_parity(parity, basis).matrix
     u = basis.vectors
-    todo = all_ells if stale is None else sorted(stale)
 
     # Invalidate before touching records; the manifest is rewritten last, so
     # an interrupted run leaves a cache that reads as incomplete.
     if cache.manifest_path.exists():
         cache.manifest_path.unlink()
 
-    def write_one(ell):
-        if ell == COMPANION_ELL:
-            payload = _companion_payload(basis, parity)
-        else:
-            payload = np.ascontiguousarray(_k_matrix(u, mtilde, ell), dtype="<c16")
+    def write_one(ell, payload):
         path = directory / _record_name(ell)
         try:
             crc = _write_record(path, dim.d, s, ell, payload)
@@ -261,13 +259,26 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
         return {"ell": ell, "file": path.name,
                 "crc32": crc, "payload_bytes": memoryview(payload).nbytes}
 
-    # Each task builds and writes one record, so a worker holds one at a time.
+    def write_pair(key):
+        """Write the due records of the companion (key COMPANION_ELL) or of ell = +-key."""
+        if key == COMPANION_ELL:
+            return [write_one(key, _companion_payload(basis, parity))]
+        k = np.ascontiguousarray(_k_matrix(u, mtilde, key), dtype="<c16")
+        done = [write_one(key, k)] if key in due else []
+        if key > 0 and -key in due:
+            done.append(write_one(-key, np.conj(k.T, order="C")))
+        return done
+
+    # One task per |ell| builds K_ell once and writes both records of the
+    # +-ell pair, so a worker holds at most two records at a time.
+    due = set(all_ells) if stale is None else stale
+    keys = sorted({ell if ell == COMPANION_ELL else abs(ell) for ell in due})
     if workers == 1:
-        written = map(write_one, todo)
+        written = map(write_pair, keys)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            written = list(pool.map(write_one, todo))
-    kept.update((rec["ell"], rec) for rec in written)
+            written = list(pool.map(write_pair, keys))
+    kept.update((rec["ell"], rec) for pair in written for rec in pair)
 
     records = [kept[ell] for ell in all_ells]
     manifest = {"format_version": FORMAT_VERSION, "d": dim.d, "s": repr(s),

@@ -202,7 +202,7 @@ def method_b_grid(rho: np.ndarray, s: float, n: int,
     dim = SpinDimension.from_d(np.shape(rho)[0])
     rho = as_density_matrix(rho, dim)
     n = _check_grid_size(dim, n)
-    s = validate_s(dim, s)
+    s = validate_s(s)
     gamma_pow = gamma_power(dim, s)
     if coeffs is None:
         coeffs = expansion_coefficients(rho)

@@ -48,7 +48,6 @@ def test_criterion_1_four_way_oracle_equivalence(tmp_path):
     for d in range(2, 33):
         dim = SpinDimension.from_d(d)
         n = minimal_grid_size(dim)
-        basis = jy_eigenbasis(dim)
         op_table = TensorOperatorTable(dim)
         rhos = [random_density(dim, seed) for seed in SEEDS]
         coeff_tables = [expansion_coefficients(rho, op_table) for rho in rhos]
@@ -78,7 +77,6 @@ def test_criterion_2_tensor_operator_precision():
     for d in range(2, 65):
         dim = SpinDimension.from_d(d)
         parity = build_parity(dim, 0.0)
-        basis = jy_eigenbasis(dim)
         radius = sphere_radius(dim)
         n = minimal_grid_size(dim)
         thetas, phis = grid_thetas(n), grid_phis(n)

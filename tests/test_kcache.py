@@ -12,7 +12,7 @@ from spinphase.fourier import fourier_coefficients_method_c
 from spinphase.kcache import (CacheCorruptError, CacheIncompleteError,
                               CacheMismatchError, fourier_coefficients_method_d,
                               open_cache, precompute_cache)
-from spinphase.parity import build_parity
+from spinphase.parity import build_parity, transform_parity
 from spinphase.states import random_density
 
 
@@ -173,6 +173,90 @@ def test_parallel_precompute_holds_few_records(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * record_bytes
+
+
+def _count_k_products(monkeypatch):
+    calls = []
+    build = kcache._k_matrix
+
+    def counted(u, mtilde, ell):
+        calls.append(ell)
+        return build(u, mtilde, ell)
+
+    monkeypatch.setattr(kcache, "_k_matrix", counted)
+    return calls
+
+
+def _mtimes(directory, skip=()):
+    return {p.name: p.stat().st_mtime_ns for p in directory.iterdir()
+            if p.name not in (*skip, "manifest.json")}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("d", [9, 12])
+def test_negative_records_are_exact_conjugate_transposes(tmp_path, d, workers):
+    dim = SpinDimension.from_d(d)
+    cache = precompute_cache(dim, 0.0, tmp_path / "c", workers=workers)
+    for ell in range(1, dim.two_j + 1):
+        mirrored = np.ascontiguousarray(cache.read_k(ell).conj().T)
+        assert cache.read_k(-ell).tobytes() == mirrored.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_full_build_makes_one_product_per_pair(tmp_path, monkeypatch, workers):
+    calls = _count_k_products(monkeypatch)
+    dim = SpinDimension.from_d(10)
+    precompute_cache(dim, 0.0, tmp_path / "c", workers=workers)
+    assert sorted(calls) == list(range(dim.two_j + 1))  # 2J+1 products, not 4J+1
+
+
+@pytest.mark.parametrize("victim", ["k_m00003.bin", "k_p00003.bin"])
+def test_repair_rebuilds_one_product_and_one_record(cache10, tmp_path, monkeypatch, victim):
+    dim = SpinDimension.from_d(10)
+    fresh = precompute_cache(dim, 0.0, tmp_path / "fresh")
+    path = cache10.directory / victim
+    raw = bytearray(path.read_bytes())
+    raw[100] ^= 0xFF
+    path.write_bytes(raw)
+    untouched = _mtimes(cache10.directory, skip=[victim])
+    calls = _count_k_products(monkeypatch)
+    repaired = precompute_cache(dim, 0.0, cache10.directory)
+    assert repaired.last_action == "repaired"
+    assert calls == [3]
+    assert path.read_bytes() == (fresh.directory / victim).read_bytes()
+    assert _mtimes(cache10.directory, skip=[victim]) == untouched
+
+
+def test_cache_with_one_product_per_record_stays_valid(cache10):
+    # Earlier versions built every record, ell < 0 included, from its own
+    # product, which differs from K_ell^H by rounding only.
+    dim = SpinDimension.from_d(10)
+    parity = build_parity(dim, 0.0)
+    basis = jy_eigenbasis(dim)
+    mtilde = transform_parity(parity, basis).matrix
+    manifest = json.loads(cache10.manifest_path.read_text())
+    changed = 0
+    for rec in manifest["records"]:
+        ell = rec["ell"]
+        if ell == kcache.COMPANION_ELL or ell >= 0:
+            continue
+        path = cache10.directory / rec["file"]
+        paired = path.read_bytes()
+        rec["crc32"] = kcache._write_record(path, dim.d, 0.0, ell,
+                                            kcache._k_matrix(basis.vectors, mtilde, ell))
+        changed += path.read_bytes() != paired
+    assert changed > 0  # the old records really differ in their bytes
+    cache10.manifest_path.write_text(json.dumps(manifest, indent=1))
+    before = _mtimes(cache10.directory)
+    again = precompute_cache(dim, 0.0, cache10.directory)
+    assert again.last_action == "verified"
+    assert _mtimes(cache10.directory) == before
+    rng = np.random.default_rng(3)
+    a, b = (rng.standard_normal(dim.d) + 1j * rng.standard_normal(dim.d) for _ in range(2))
+    rho = np.outer(a, b.conj())  # not Hermitian: every ell < 0 record is accumulated
+    table_d = fourier_coefficients_method_d(rho, again)
+    table_c = fourier_coefficients_method_c(rho, parity)
+    assert np.abs(table_d.coeffs - table_c.coeffs).max() < 1e-12
 
 
 def _drop_first_ell(manifest):
