@@ -3,19 +3,19 @@
 Grid container (little endian): magic ``SWPG``, u32 version, u32 d, f64 s,
 u32 n, u8 method tag, u16 description length, UTF-8 description, payload of
 interleaved f64 (re, im) pairs row-major over (k, l), trailing CRC-32 of
-the payload.  A user matrix reuses the same container with n = d and the
-``matrix`` tag.
+the payload (``_checksum.crc32``, the values of ``zlib.crc32``).  A user
+matrix reuses the same container with n = d and the ``matrix`` tag.
 """
 
 from __future__ import annotations
 
 import struct
 import warnings
-import zlib
 from pathlib import Path
 
 import numpy as np
 
+from ._checksum import crc32
 from .angular import SpinDimension
 from .sampling import GridWindow, PhaseSpaceGrid
 
@@ -64,7 +64,7 @@ def _write(path, d: int, s: float, n: int, method: str, description: str,
         fh.write(_HEAD.pack(MAGIC, FORMAT_VERSION, d, s, n, tag, len(desc)))
         fh.write(desc)
         fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        fh.write(struct.pack("<I", crc32(payload)))
 
 
 def _unpack(raw: bytes):
@@ -82,7 +82,7 @@ def _unpack(raw: bytes):
         raise GridFileError(f"description is not valid UTF-8: {exc}") from None
     payload = body[desc_len:-4]
     (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(payload) != crc:
+    if crc32(payload) != crc:
         raise GridFileError("payload checksum mismatch")
     values = np.frombuffer(payload, dtype="<c16")
     method = _TAG_METHODS.get(tag)

@@ -7,7 +7,7 @@ eigenvector matrix, the parity diagonal, and the J_y eigenvalues.
 Record format (little endian): magic ``SWKL``, u32 format version, u32 d,
 i32 ell (``COMPANION_ELL`` sentinel for the companion), f64 s, payload of
 interleaved f64 (re, im) pairs in row-major order, trailing CRC-32 of the
-payload bytes.
+payload bytes (``_checksum.crc32``, the values of ``zlib.crc32``).
 
 K_{-ell} is K_ell^H, so ``precompute_cache`` builds one product per +-ell
 pair and writes record -ell as the exact conjugate transpose of record ell.
@@ -18,13 +18,13 @@ from __future__ import annotations
 import json
 import os
 import struct
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._checksum import crc32
 from .angular import EigenBasis, SpinDimension, jy_eigenbasis
 from .fourier import FourierTable, _fill_table, _k_matrix
 from .parity import ParityOperator, build_parity, transform_parity
@@ -89,7 +89,7 @@ def _record_name(ell: int) -> str:
 
 def _write_record(path: Path, d: int, s: float, ell: int, payload) -> int:
     """``payload`` is any contiguous buffer: bytes or a ``<c16`` array."""
-    crc = zlib.crc32(payload)
+    crc = crc32(payload)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, d, ell, s))
         fh.write(payload)
@@ -109,7 +109,7 @@ def _write_manifest(path: Path, manifest: dict) -> None:
 
 
 def _read_record(path: Path, d: int, s: float, ell: int) -> np.ndarray:
-    """Payload of one verified record as a flat complex array."""
+    """Payload of one verified record of the right size as a flat complex array."""
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
@@ -124,9 +124,13 @@ def _read_record(path: Path, d: int, s: float, ell: int) -> np.ndarray:
             f"record {path.name} was written for d={rec_d}, s={rec_s}, ell={rec_ell}")
     payload = memoryview(raw)[_HEADER.size:-4]  # a view: records are hundreds of kB
     (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
-    if zlib.crc32(payload) != crc:
-        label = "companion" if ell == COMPANION_ELL else f"ell = {ell}"
+    companion = ell == COMPANION_ELL
+    if crc32(payload) != crc:
+        label = "companion" if companion else f"ell = {ell}"
         raise CacheCorruptError(f"checksum mismatch in cache record for {label}", ell=ell)
+    if payload.nbytes != 16 * (d * d + d if companion else d * d):
+        label = "companion record" if companion else f"record for ell = {ell}"
+        raise CacheCorruptError(f"{label} has wrong size", ell=ell)
     return np.frombuffer(payload, dtype="<c16")
 
 
@@ -181,8 +185,6 @@ class KCache:
 
     def read_k(self, ell: int) -> np.ndarray:
         flat = _read_record(self.directory / _record_name(ell), self.d, self.s, ell)
-        if flat.size != self.d * self.d:
-            raise CacheCorruptError(f"record for ell = {ell} has wrong size", ell=ell)
         return flat.reshape(self.d, self.d)
 
     def read_companion(self):
@@ -190,8 +192,6 @@ class KCache:
         d = self.d
         flat = _read_record(self.directory / _record_name(COMPANION_ELL),
                             d, self.s, COMPANION_ELL)
-        if flat.size != (d * d + d):
-            raise CacheCorruptError("companion record has wrong size", ell=COMPANION_ELL)
         u = flat[: d * d].reshape(d, d)
         reals = flat[d * d:]  # d complex slots carry 2d packed reals
         packed = reals.view(np.float64)
@@ -232,8 +232,8 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
                 try:
                     _read_record(directory / _record_name(ell), dim.d, s, ell)
                     kept[ell] = rec
-                except (CacheCorruptError, CacheIncompleteError):
-                    stale.add(ell)
+                except (CacheCorruptError, CacheIncompleteError, CacheMismatchError):
+                    stale.add(ell)  # the manifest matched: a mismatch is a stray record
             if not stale:
                 cache.last_action = "verified"
                 return cache

@@ -1,6 +1,8 @@
 import json
+import struct
 import time
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -225,6 +227,40 @@ def test_repair_rebuilds_one_product_and_one_record(cache10, tmp_path, monkeypat
     assert calls == [3]
     assert path.read_bytes() == (fresh.directory / victim).read_bytes()
     assert _mtimes(cache10.directory, skip=[victim]) == untouched
+
+
+def _resized_record(cache, drop):
+    """Record ell = 3 with a valid header and checksum but ``drop`` payload bytes short."""
+    raw = (cache.directory / "k_p00003.bin").read_bytes()
+    payload = raw[kcache._HEADER.size:-4 - drop]
+    return raw[:kcache._HEADER.size] + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+# Records whose header, checksum or size a reader rejects, but whose manifest matches.
+STRAY_RECORDS = {
+    "record-of-ell-4": lambda cache: (cache.directory / "k_p00004.bin").read_bytes(),
+    "one-entry-short": lambda cache: _resized_record(cache, 16),
+    "half-an-entry-short": lambda cache: _resized_record(cache, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRAY_RECORDS))
+def test_stray_record_is_repaired(cache10, tmp_path, name):
+    dim = SpinDimension.from_d(10)
+    victim = cache10.directory / "k_p00003.bin"
+    victim.write_bytes(STRAY_RECORDS[name](cache10))
+    rho = random_density(dim, 4)
+    with pytest.raises((CacheMismatchError, CacheCorruptError)):
+        fourier_coefficients_method_d(rho, cache10)
+    untouched = _mtimes(cache10.directory, skip=[victim.name])
+    repaired = precompute_cache(dim, 0.0, cache10.directory)
+    assert repaired.last_action == "repaired"
+    assert _mtimes(cache10.directory, skip=[victim.name]) == untouched
+    fresh = precompute_cache(dim, 0.0, tmp_path / "fresh")
+    assert victim.read_bytes() == (fresh.directory / victim.name).read_bytes()
+    table_c = fourier_coefficients_method_c(rho, build_parity(dim, 0.0))
+    table_d = fourier_coefficients_method_d(rho, repaired)
+    assert np.abs(table_d.coeffs - table_c.coeffs).max() < 1e-12
 
 
 def test_cache_with_one_product_per_record_stays_valid(cache10):
