@@ -280,17 +280,16 @@ def projector_am(basis: EigenBasis, m) -> np.ndarray:
     return np.outer(col, col.conj())
 
 
-def am_analytic(dim: SpinDimension, m, m1, m2, allow_large=False) -> complex:
+def am_analytic(dim: SpinDimension, m, m1, m2) -> complex:
     """Closed-form eigenvector-projector entry [A_m]_{m1 m2}.
 
     Evaluates the factorial double sum with log-domain factorials.  The
     alternating sums cancel catastrophically at large J, so this is a
-    cross-check for d <= 32 unless ``allow_large`` is set; the
-    eigendecomposition route is the production path.
+    cross-check for d <= 32 only; the eigendecomposition route is the
+    production path.
     """
-    if dim.d > 32 and not allow_large:
-        raise ValueError("am_analytic is a cross-check, restricted to d <= 32 "
-                         "(pass allow_large=True to override)")
+    if dim.d > 32:
+        raise ValueError("am_analytic is a cross-check, restricted to d <= 32")
     two_m = as_two(m, "m")
     two_m1 = as_two(m1, "m1")
     two_m2 = as_two(m2, "m2")

@@ -10,25 +10,24 @@ interesting outputs are ratios and fitted log-log slopes.
 
 from __future__ import annotations
 
+import os
 import statistics
 import time
 import tracemalloc
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .angular import SpinDimension, jy_eigenbasis
 from .cgc import expansion_coefficients
+from .cli import TABLE_ROUTES, CliError
 from .fourier import fourier_coefficients_method_c
-from .kcache import CacheError, cache_directory, fourier_coefficients_method_d, open_cache
+from .kcache import cache_directory  # re-exported: callers build bench caches with it
 from .parity import build_parity
 from .sampling import default_grid_size, sample_fft
 from .states import random_density
 
 __all__ = ["BenchRow", "BenchReport", "run_bench"]
-
-METHODS = ("b", "c", "d")
 
 
 @dataclass
@@ -45,7 +44,7 @@ class BenchRow:
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
     slopes: dict = field(default_factory=dict)
-    thread_pin: str = "unavailable"  # or "applied", "lifted"
+    thread_pin: str = "unset"  # OPENBLAS_NUM_THREADS as the run saw it
 
     def to_csv(self, stream) -> None:
         stream.write("method,d,time_s,fft_s,peak_mem_mb,status\n")
@@ -75,65 +74,47 @@ def _peak_mb(func) -> float:
         tracemalloc.stop()
 
 
-def _thread_limiter(parallel: bool):
-    """Single-thread pin for reproducible timings (a flag lifts it), and its state."""
-    if parallel:
-        return nullcontext(), "lifted"
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return nullcontext(), "unavailable"
-    return threadpool_limits(limits=1), "applied"
-
-
-def run_bench(dims, methods=("c", "d"), repetitions: int = 3, s: float = 0.0,
-              cache_root=None, seed: int = 2047, parallel: bool = False,
+def run_bench(dims, methods=None, repetitions: int = 3, s: float = 0.0,
+              cache_root=None, seed: int = 2047,
               measure_memory: bool = True) -> BenchReport:
     """Time the coefficient computation for every (method, d) pair.
 
-    Method d rows need a matching cache under ``cache_root`` and are marked
-    ``skipped`` (not fatal) when it is absent.
+    ``methods`` names the cold method-b baseline ``b`` or any table route of
+    ``cli.TABLE_ROUTES`` (default: every route).  A route that cannot be prepared (method d without
+    a matching cache under ``cache_root``) marks its row ``skipped``, which
+    is not fatal.
     """
-    methods = [m.lower() for m in methods]
+    choices = ("b", *TABLE_ROUTES)
+    methods = [m.lower() for m in (TABLE_ROUTES if methods is None else methods)]
     for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        if m not in choices:
+            raise ValueError(f"unknown method {m!r}; choose from {choices}")
     if repetitions < 3:
         raise ValueError("medians need at least 3 repetitions")
 
-    limiter, pin = _thread_limiter(parallel)
-    report = BenchReport(thread_pin=pin)
-    with limiter:
-        for d in dims:
-            dim = SpinDimension.from_d(d)
-            rho = random_density(dim, seed)
-            jy_eigenbasis(dim)  # built here so no timed call pays for it
-            parity = build_parity(dim, s)
-            n = default_grid_size(dim)
-            table = fourier_coefficients_method_c(rho, parity)
-            fft_s = _median_time(lambda: sample_fft(table, n), repetitions)
+    report = BenchReport(thread_pin=os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+    for d in dims:
+        dim = SpinDimension.from_d(d)
+        rho = random_density(dim, seed)
+        jy_eigenbasis(dim)  # built here so no timed call pays for it
+        n = default_grid_size(dim)
+        table = fourier_coefficients_method_c(rho, build_parity(dim, s))
+        fft_s = _median_time(lambda: sample_fft(table, n), repetitions)
 
-            for method in methods:
-                if method == "c":
-                    work = lambda: fourier_coefficients_method_c(rho, parity)
-                elif method == "b":
-                    work = lambda: expansion_coefficients(rho)
-                else:
-                    if cache_root is None:
-                        report.rows.append(BenchRow(method, dim.d, float("nan"),
-                                                    fft_s, 0.0, "skipped"))
-                        continue
-                    try:
-                        cache = open_cache(cache_directory(cache_root, dim.d, s),
-                                           dim.d, s)
-                    except CacheError:
-                        report.rows.append(BenchRow(method, dim.d, float("nan"),
-                                                    fft_s, 0.0, "skipped"))
-                        continue
-                    work = lambda: fourier_coefficients_method_d(rho, cache)
-                time_s = _median_time(work, repetitions)
-                peak = _peak_mb(work) if measure_memory else 0.0
-                report.rows.append(BenchRow(method, dim.d, time_s, fft_s, peak))
+        for method in methods:
+            if method == "b":
+                work = lambda: expansion_coefficients(rho)
+            else:
+                try:
+                    table_of = TABLE_ROUTES[method](dim, s, cache_root)
+                except CliError:
+                    report.rows.append(BenchRow(method, dim.d, float("nan"),
+                                                fft_s, 0.0, "skipped"))
+                    continue
+                work = lambda: table_of(rho)
+            time_s = _median_time(work, repetitions)
+            peak = _peak_mb(work) if measure_memory else 0.0
+            report.rows.append(BenchRow(method, dim.d, time_s, fft_s, peak))
 
     for method in methods:
         pts = [(row.d, row.time_s) for row in report.rows

@@ -6,6 +6,11 @@ its analytic angular derivatives, ``bench`` runs the scaling harness.
 
 Caches live under a root directory (``--cache`` or the SPINPHASE_CACHE
 environment variable), one subdirectory per (d, s) pair.
+
+``TABLE_ROUTES`` names the routes that build a Fourier table: method c
+builds the K matrices on the fly, method d reads them from the cache.  A
+route added there is offered by ``compute --method``, ``deriv --method`` and
+``bench --methods`` alike.
 """
 
 from __future__ import annotations
@@ -58,8 +63,12 @@ def _resolve_dim(d: int) -> SpinDimension:
     return SpinDimension.from_d(d)
 
 
-def _cache_root(args) -> Path:
-    root = args.cache or os.environ.get(ENV_CACHE)
+def _given_root(args):
+    """The cache root from --cache or the environment, or None."""
+    return args.cache or os.environ.get(ENV_CACHE)
+
+
+def _cache_root(root) -> Path:
     if root is None:
         raise CliError("no cache location: pass --cache or set " + ENV_CACHE)
     return Path(root)
@@ -113,16 +122,25 @@ def _build_state(args, dim: SpinDimension) -> tuple[np.ndarray, str]:
     return states.random_density(dim, seed), f"random(seed={seed})"
 
 
-def _compute_table(args, dim, rho, s):
-    if args.method == "c":
-        return fourier_coefficients_method_c(rho, build_parity(dim, s))
+def _route_c(dim, s, cache_root):
+    parity = build_parity(dim, s)
+    return lambda rho: fourier_coefficients_method_c(rho, parity)
+
+
+def _route_d(dim, s, cache_root):
     validate_s(s)
-    directory = cache_directory(_cache_root(args), dim.d, s)
+    directory = cache_directory(_cache_root(cache_root), dim.d, s)
     try:
         cache = open_cache(directory, dim.d, s)
     except CacheError as exc:
         raise CliError(f"cannot use cached method: {exc}") from exc
-    return fourier_coefficients_method_d(rho, cache)
+    return lambda rho: fourier_coefficients_method_d(rho, cache)
+
+
+# Each entry takes (dim, s, cache_root or None), does the per-(d, s) work once
+# and returns rho -> FourierTable.  The names above are looked up when a route
+# runs, so a patched module attribute is the one that is called.
+TABLE_ROUTES = {"c": _route_c, "d": _route_d}
 
 
 def _check_output(args) -> None:
@@ -157,7 +175,7 @@ def cmd_precompute(args) -> int:
     dim = _resolve_dim(args.dim)
     s = _resolve_s(args)
     directory = (Path(args.out) if args.out
-                 else cache_directory(_cache_root(args), dim.d, s))
+                 else cache_directory(_cache_root(_given_root(args)), dim.d, s))
     cache = precompute_cache(dim, s, directory, force=args.force, workers=args.workers)
     k_bytes = cache.k_payload_bytes()
     print(f"{cache.last_action} cache in {cache.directory}")
@@ -172,8 +190,8 @@ def cmd_compute(args) -> int:
     s = _resolve_s(args)
     rho, description = _build_state(args, dim)
     n = args.n if args.n is not None else default_grid_size(dim)
-    if args.method in ("c", "d"):
-        table = _compute_table(args, dim, rho, s)
+    if args.method in TABLE_ROUTES:
+        table = TABLE_ROUTES[args.method](dim, s, _given_root(args))(rho)
         grid = sample_fft(table, n, method=args.method)
     elif args.method == "b":
         grid = method_b_grid(rho, s, n)
@@ -189,7 +207,7 @@ def cmd_deriv(args) -> int:
     s = _resolve_s(args)
     rho, description = _build_state(args, dim)
     n = args.n if args.n is not None else default_grid_size(dim)
-    table = _compute_table(args, dim, rho, s)
+    table = TABLE_ROUTES[args.method](dim, s, _given_root(args))(rho)
     variables = ["theta", "phi"] if args.variable == "grad" else [args.variable]
     for variable in variables:
         deriv = derivative_coefficients(table, variable)
@@ -206,10 +224,9 @@ def cmd_bench(args) -> int:
     from .bench import run_bench  # loads statistics and tracemalloc only for this command
 
     dims = [int(tok) for tok in args.dims.split(",") if tok]
-    methods = [tok.strip().lower() for tok in args.methods.split(",") if tok]
-    cache_root = args.cache or os.environ.get(ENV_CACHE)
+    methods = [tok.strip() for tok in args.methods.split(",") if tok]
     report = run_bench(dims, methods, repetitions=args.reps, s=_resolve_s(args),
-                       cache_root=cache_root, seed=args.seed, parallel=args.parallel)
+                       cache_root=_given_root(args), seed=args.seed)
     if args.out:
         with open(args.out, "w") as fh:
             report.to_csv(fh)
@@ -248,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_s_arguments(cmd)
         cmd.add_argument("--n", type=int, default=None,
                          help="grid size (even, >= 4J+2; default max(512, next pow2))")
-        cmd.add_argument("--method", default="c",
-                         choices=["c", "d", "b", "direct"] if name == "compute" else ["c", "d"])
+        oracles = ["b", "direct"] if name == "compute" else []
+        cmd.add_argument("--method", default="c", choices=[*TABLE_ROUTES, *oracles])
         cmd.add_argument("--cache", help="cache root (for --method d)")
         cmd.add_argument("--format", choices=["bin", "csv"], default="csv")
         cmd.add_argument("--out", help="output path (csv defaults to stdout)")
@@ -264,13 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="run the scaling benchmark harness")
     ben.add_argument("--dims", required=True, help="comma-separated dimensions")
-    ben.add_argument("--methods", default="c,d", help="comma-separated subset of b,c,d")
+    ben.add_argument("--methods", default=",".join(TABLE_ROUTES),
+                     help=f"comma-separated subset of {','.join(['b', *TABLE_ROUTES])}")
     ben.add_argument("--reps", type=int, default=3)
     _add_s_arguments(ben)
     ben.add_argument("--cache", help="cache root (for method d rows)")
     ben.add_argument("--seed", type=int, default=2047)
-    ben.add_argument("--parallel", action="store_true",
-                     help="lift the single-thread pin")
     ben.add_argument("--out", help="write the CSV report here instead of stdout")
     ben.set_defaults(func=cmd_bench)
     return parser

@@ -81,12 +81,12 @@ def gamma_power(dim: SpinDimension, s: float) -> np.ndarray:
     return _exp_weights(-s * log_gamma_j(dim), dim, s)
 
 
-def validate_s(s: float, allow_extended: bool = False) -> float:
+def validate_s(s: float) -> float:
     s = float(s)
     if not math.isfinite(s):
         raise ValueError("s must be a finite real number")
-    if not allow_extended and not -1.0 <= s <= 1.0:
-        raise ValueError(f"s = {s} outside [-1, 1]; pass allow_extended_s to override")
+    if not -1.0 <= s <= 1.0:
+        raise ValueError(f"s = {s} outside [-1, 1]")
     return s
 
 
@@ -123,9 +123,9 @@ class TransformedParity:
     matrix: np.ndarray
 
 
-def build_parity(dim: SpinDimension, s: float, allow_extended_s: bool = False) -> ParityOperator:
+def build_parity(dim: SpinDimension, s: float) -> ParityOperator:
     """Assemble M_s = (1/R) sum_j sqrt((2j+1)/4pi) (gamma_j)^(-s) T_j0."""
-    s = validate_s(s, allow_extended_s)
+    s = validate_s(s)
     j = np.arange(dim.two_j + 1, dtype=float)
     log_weight = (0.5 * (np.log(2.0 * j + 1.0) - LOG_4PI)
                   - s * log_gamma_j(dim) - math.log(sphere_radius(dim)))

@@ -184,7 +184,6 @@ def test_am_analytic_large_dim_guard():
     dim = SpinDimension.from_d(33)
     with pytest.raises(ValueError, match="cross-check"):
         am_analytic(dim, 0.0, 0.0, 0.0)
-    assert np.isfinite(am_analytic(dim, 0.0, 0.0, 0.0, allow_large=True).real)
 
 
 @pytest.mark.parametrize("d", [2, 3, 6, 11])

@@ -32,21 +32,19 @@ def test_run_bench_rows_and_slopes(tmp_path):
     assert "# loglog_slope" in text
 
 
-def test_report_states_the_thread_pin():
-    import importlib.util
-
-    pinned = run_bench([6], methods=("c",), repetitions=3, measure_memory=False)
-    expected = "applied" if importlib.util.find_spec("threadpoolctl") else "unavailable"
-    assert pinned.thread_pin == expected
-    lifted = run_bench([6, 8], methods=("c",), repetitions=3, parallel=True,
-                       measure_memory=False)
-    assert lifted.thread_pin == "lifted"
+def test_report_states_the_thread_pin(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    unset = run_bench([6], methods=("c",), repetitions=3, measure_memory=False)
+    assert unset.thread_pin == "unset"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    pinned = run_bench([6, 8], methods=("c",), repetitions=3, measure_memory=False)
+    assert pinned.thread_pin == "1"
     buf = io.StringIO()
-    lifted.to_csv(buf)
+    pinned.to_csv(buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "method,d,time_s,fft_s,peak_mem_mb,status"
     assert lines[-2].startswith("# loglog_slope c ")
-    assert lines[-1] == "# thread_pin lifted"
+    assert lines[-1] == "# thread_pin 1"
 
 
 def test_run_bench_skips_missing_cache(tmp_path):

@@ -307,9 +307,15 @@ def test_cache_root_from_environment(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_no_cache_root_is_an_error(monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [
+    ["precompute", "--dim", 6, "--s", 0],
+    ["compute", "--method", "d", "--state", "ghz", "--dim", 6, "--n", 12],
+    ["deriv", "--method", "d", "--variable", "theta", "--state", "ghz", "--dim", 6,
+     "--n", 12],
+], ids=["precompute", "compute", "deriv"])
+def test_no_cache_root_is_an_error(monkeypatch, capsys, argv):
     monkeypatch.delenv("SPINPHASE_CACHE", raising=False)
-    assert run("precompute", "--dim", 6, "--s", 0) == 1
+    assert run(*argv) == 1
     assert "SPINPHASE_CACHE" in capsys.readouterr().err
 
 
@@ -394,3 +400,36 @@ def test_cli_import_does_not_load_the_bench_harness():
     result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_a_table_route_is_added_in_one_place(monkeypatch, tmp_path):
+    from spinphase import cli
+    from spinphase.bench import run_bench
+    from spinphase.fourier import FourierTable
+
+    prepared = []
+
+    def route_z(dim, s, cache_root):
+        prepared.append((dim.d, s))
+        coeffs = np.zeros((2 * dim.two_j + 1,) * 2, dtype=complex)
+        coeffs[dim.two_j, dim.two_j] = 1.0  # F_00 alone: a constant function
+        return lambda rho: FourierTable(dim, s, coeffs)
+
+    monkeypatch.setitem(cli.TABLE_ROUTES, "z", route_z)
+    parser = cli.build_parser()
+    for command in (["compute"], ["deriv", "--variable", "phi"]):
+        args = parser.parse_args([*command, "--state", "ghz", "--dim", "3",
+                                  "--method", "z"])
+        assert args.method == "z"
+
+    out = tmp_path / "z.csv"
+    assert run("compute", "--state", "ghz", "--dim", 3, "--n", 8, "--method", "z",
+               "--out", out) == 0
+    with open(out) as fh:
+        _, _, values = read_grid_csv(fh)
+    assert np.allclose(values, values[0, 0]) and abs(values[0, 0]) > 0
+
+    report = run_bench([3, 4], methods=("z",), repetitions=3, measure_memory=False)
+    assert [(row.method, row.d, row.status) for row in report.rows] == [
+        ("z", 3, "ok"), ("z", 4, "ok")]
+    assert prepared == [(3, 0.0), (3, 0.0), (4, 0.0)]
