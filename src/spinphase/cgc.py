@@ -6,6 +6,9 @@ of the admissible range and renormalized, which stays stable for large
 spins.  The Racah single-sum closed form (log-domain factorials) is kept
 as an exact small-spin reference; its alternating sum cancels badly for
 large arguments and is never used in production.
+
+Every irreducible tensor operator T_jm, here and in ``parity``, is read from
+``tensor_bands``: the only code that writes the T_jm sign and band layout.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "clebsch_gordan",
     "clebsch_gordan_racah",
     "tensor_operator",
+    "tensor_bands",
     "tensor_band",
     "TensorOperatorTable",
     "CoefficientTable",
@@ -194,11 +198,32 @@ def clebsch_gordan_racah(j1, m1, j2, m2, j, m) -> float:
 # Irreducible tensor operators
 # ---------------------------------------------------------------------------
 
-def _band_two_m1(dim: SpinDimension, two_m: int) -> np.ndarray:
-    """Doubled row quantum numbers along the tensor band, in diagonal order."""
-    length = dim.d - abs(two_m) // 2
-    start = dim.two_j + min(0, two_m)
-    return start - 2 * np.arange(length, dtype=np.int64)
+def tensor_bands(dim: SpinDimension, m) -> np.ndarray:
+    """Bands of T_jm for the ranks j = |m|..2J at one order m, as rows.
+
+    [T_jm]_{m1, m2} = (-1)^(J - m2) <J m1; J -m2 | j m>, so one sweep over
+    the total angular momentum gives every rank.  Row ``j - |m|`` lines up
+    with ``np.diagonal(A, m)`` of a d x d array.
+    """
+    two_m = as_two(m, "m")
+    if two_m % 2 or abs(two_m) > 2 * dim.two_j:
+        raise ValueError(f"tensor order m must be an integer with |m| <= 2J, got {m}")
+    two_m1 = dim.two_j + min(0, two_m) - 2 * np.arange(dim.d - abs(two_m) // 2)
+    two_m2 = two_m1 - two_m
+    _, coeffs = cg_families(dim.two_j, dim.two_j, two_m1, -two_m2)
+    sign = np.where(((dim.two_j - two_m2) // 2) % 2, -1.0, 1.0)
+    return sign * coeffs
+
+
+def _check_rank_order(dim: SpinDimension, j, m) -> tuple[int, int]:
+    """(j, m) as integers, or ValueError unless j is in 0..2J and |m| <= j."""
+    two_j_op = as_two(j, "j")
+    two_m = as_two(m, "m")
+    if two_j_op % 2 or two_j_op < 0 or two_j_op > 2 * dim.two_j:
+        raise ValueError(f"tensor rank j must be an integer in 0..2J, got {j}")
+    if two_m % 2 or abs(two_m) > two_j_op:
+        raise ValueError(f"tensor order m must be an integer with |m| <= j, got {m}")
+    return two_j_op // 2, two_m // 2
 
 
 def tensor_band(dim: SpinDimension, j, m) -> np.ndarray:
@@ -208,48 +233,28 @@ def tensor_band(dim: SpinDimension, j, m) -> np.ndarray:
     Each call runs one fresh recursion sweep over the total angular
     momentum; nothing is memoized here (see TensorOperatorTable).
     """
-    two_j_op = as_two(j, "j")
-    two_m = as_two(m, "m")
-    if two_j_op % 2 or two_j_op < 0 or two_j_op > 2 * dim.two_j:
-        raise ValueError(f"tensor rank j must be an integer in 0..2J, got {j}")
-    if two_m % 2 or abs(two_m) > two_j_op:
-        raise ValueError(f"tensor order m must be an integer with |m| <= j, got {m}")
-    two_m1 = _band_two_m1(dim, two_m)
-    two_second = two_m - two_m1  # doubled value of -m2
-    two_grid, coeffs = cg_families(dim.two_j, dim.two_j, two_m1, two_second)
-    row = (two_j_op - two_grid[0]) // 2
-    if row < 0:
-        return np.zeros(two_m1.size)
-    two_m2 = two_m1 - two_m
-    sign = np.where(((dim.two_j - two_m2) // 2) % 2, -1.0, 1.0)
-    return sign * coeffs[row]
+    j, m = _check_rank_order(dim, j, m)
+    return tensor_bands(dim, m)[j - abs(m)]
 
 
 def tensor_operator(dim: SpinDimension, j, m) -> np.ndarray:
     """Dense d x d irreducible tensor operator T_jm."""
     band = tensor_band(dim, j, m)
-    m_int = as_two(m, "m") // 2
-    op = np.zeros((dim.d, dim.d), dtype=complex)
-    idx = np.arange(band.size)
-    if m_int >= 0:
-        op[idx, idx + m_int] = band
-    else:
-        op[idx - m_int, idx] = band
-    return op
+    return np.diag(band.astype(complex), as_two(m, "m") // 2)
 
 
 class TensorOperatorTable:
-    """Lazily built cache of tensor-operator bands for one dimension."""
+    """Lazily built tensor-operator bands for one dimension: 4J+1 sweeps, one per order."""
 
     def __init__(self, dim: SpinDimension):
         self.dim = dim
-        self._bands: dict[tuple[int, int], np.ndarray] = {}
+        self._orders: dict[int, np.ndarray] = {}
 
     def band(self, j: int, m: int) -> np.ndarray:
-        key = (int(j), int(m))
-        if key not in self._bands:
-            self._bands[key] = tensor_band(self.dim, *key)
-        return self._bands[key]
+        j, m = _check_rank_order(self.dim, j, m)
+        if m not in self._orders:
+            self._orders[m] = tensor_bands(self.dim, m)
+        return self._orders[m][j - abs(m)]
 
 
 @dataclass
@@ -286,8 +291,8 @@ def expansion_coefficients(rho: np.ndarray,
     pre-built operator table is supplied, every band is recomputed, which
     reproduces the traditional per-operator coupling-coefficient cost.
     """
-    rho = np.asarray(rho, dtype=complex)
-    dim = SpinDimension.from_d(rho.shape[0])
+    dim = SpinDimension.from_d(np.shape(rho)[0])
+    rho = as_density_matrix(rho, dim)
     band_of = table.band if table is not None else (lambda j, m: tensor_band(dim, j, m))
     rows = []
     for j in range(dim.two_j + 1):

@@ -306,7 +306,8 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (CliError, CacheError, GridFileError, OverflowError, ValueError, OSError) as exc:
+    except (CliError, CacheError, GridFileError, MemoryError, OverflowError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

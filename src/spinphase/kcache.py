@@ -27,7 +27,7 @@ import numpy as np
 from ._checksum import crc32
 from .angular import EigenBasis, SpinDimension, jy_eigenbasis
 from .fourier import FourierTable, _fill_table, _k_matrix
-from .parity import ParityOperator, build_parity, transform_parity
+from .parity import ParityOperator, build_parity, transform_parity, validate_s
 from .states import as_density_matrix
 
 __all__ = [
@@ -214,9 +214,9 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    s = validate_s(s)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    s = float(s)
     cache = KCache(directory=directory, d=dim.d, s=s)
     two_j = dim.two_j
     all_ells = list(range(-two_j, two_j + 1)) + [COMPANION_ELL]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import EigenBasis, SpinDimension
-from .cgc import cg_families
+from .cgc import tensor_bands
 
 __all__ = [
     "ParityOverflowError",
@@ -25,7 +25,6 @@ __all__ = [
     "gamma_j",
     "gamma_power",
     "validate_s",
-    "tensor_diag_table",
     "build_parity",
     "transform_parity",
 ]
@@ -90,18 +89,6 @@ def validate_s(s: float) -> float:
     return s
 
 
-def tensor_diag_table(dim: SpinDimension) -> np.ndarray:
-    """[T_j0]_{mm} for all j and m: shape (2J+1, d), basis order along axis 1.
-
-    All diagonal tensor operators come from a single recursion sweep, so the
-    cost is O(d^2).
-    """
-    two_m1 = dim.two_j - 2 * np.arange(dim.d, dtype=np.int64)
-    _, coeffs = cg_families(dim.two_j, dim.two_j, two_m1, -two_m1)
-    sign = np.where(((dim.two_j - two_m1) // 2) % 2, -1.0, 1.0)
-    return coeffs * sign[None, :]
-
-
 @dataclass(frozen=True)
 class ParityOperator:
     """Diagonal parity kernel M_s, stored as its length-d diagonal."""
@@ -129,7 +116,7 @@ def build_parity(dim: SpinDimension, s: float) -> ParityOperator:
     j = np.arange(dim.two_j + 1, dtype=float)
     log_weight = (0.5 * (np.log(2.0 * j + 1.0) - LOG_4PI)
                   - s * log_gamma_j(dim) - math.log(sphere_radius(dim)))
-    diag = _exp_weights(log_weight, dim, s) @ tensor_diag_table(dim)
+    diag = _exp_weights(log_weight, dim, s) @ tensor_bands(dim, 0)
     if not np.all(np.isfinite(diag)):
         raise ParityOverflowError(f"parity diagonal overflows for d = {dim.d}, s = {s}")
     diag.setflags(write=False)

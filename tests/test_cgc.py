@@ -8,7 +8,8 @@ from spinphase.angular import SpinDimension
 from spinphase.cgc import (TensorOperatorTable, cg_families, clebsch_gordan,
                            clebsch_gordan_racah, expansion_coefficients,
                            harmonic_grid, harmonic_theta_profile, method_b_eval,
-                           spherical_harmonic, tensor_band, tensor_operator)
+                           spherical_harmonic, tensor_band, tensor_bands,
+                           tensor_operator)
 from spinphase.states import maximally_mixed, random_density
 
 
@@ -61,14 +62,17 @@ def test_tensor_bands_match_racah(two_j):
     js = rng.choice(np.arange(two_j + 1), size=min(6, two_j + 1), replace=False)
     for j in js:
         m = int(rng.integers(-j, j + 1))
-        band = tensor_band(dim, int(j), m)
+        bands = tensor_bands(dim, m)
+        assert bands.shape == (dim.d - abs(m), dim.d - abs(m))
+        assert np.array_equal(tensor_band(dim, int(j), m), bands[j - abs(m)])
         start = (dim.two_j + min(0, 2 * m)) / 2
-        for i in range(band.size):
-            m1 = start - i
-            m2 = m1 - m
-            ref = ((-1) ** round(j_spin - m2)
-                   * clebsch_gordan_racah(j_spin, m1, j_spin, -m2, int(j), m))
-            assert abs(band[i] - ref) < 1e-11
+        for rank, band in enumerate(bands, start=abs(m)):
+            for i in range(band.size):
+                m1 = start - i
+                m2 = m1 - m
+                ref = ((-1) ** round(j_spin - m2)
+                       * clebsch_gordan_racah(j_spin, m1, j_spin, -m2, rank, m))
+                assert abs(band[i] - ref) < 1e-11
 
 
 def test_large_family_stays_normalized():
@@ -106,6 +110,37 @@ def test_tensor_validation():
         tensor_operator(dim, 2, 3)  # |m| > j
     with pytest.raises(ValueError):
         tensor_operator(dim, 1.5, 0)  # non-integer rank
+    table = TensorOperatorTable(dim)
+    for j, m in ((4, 0), (2, 3), (1.5, 0), (2, 0.5)):
+        with pytest.raises(ValueError):
+            table.band(j, m)
+    for m in (4, -4, 0.5, 1.5):  # |m| > 2J or non-integer order
+        with pytest.raises(ValueError):
+            tensor_bands(dim, m)
+
+
+def test_table_sweeps_once_per_order_and_cold_expansion_once_per_operator(monkeypatch):
+    # The cold expansion is the method-b baseline that criterion 6 times; it
+    # must keep paying one sweep per (j, m).
+    from spinphase import cgc
+
+    calls = []
+    original = cgc.cg_families
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cgc, "cg_families", counting)
+    dim = SpinDimension.from_d(4)
+    table = TensorOperatorTable(dim)
+    for m in range(-dim.two_j, dim.two_j + 1):
+        for j in range(abs(m), dim.two_j + 1):
+            table.band(j, m)
+    assert len(calls) == 2 * dim.two_j + 1
+    calls.clear()
+    expansion_coefficients(random_density(dim, 3))
+    assert len(calls) == (dim.two_j + 1) ** 2
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 16])

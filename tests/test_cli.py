@@ -116,11 +116,32 @@ def test_csv_input_without_full_rows_is_an_error(tmp_path, capsys, body, message
     assert captured.out == ""
 
 
+def test_input_too_large_to_allocate_is_an_error_not_a_traceback(tmp_path, capsys):
+    # d = 100000 asks for a 149 GiB matrix; should the allocation succeed
+    # after all, the --dim mismatch fails the same way.
+    mfile = tmp_path / "big.csv"
+    mfile.write_text("row,col,re,im\n100000,0,0,0\n")
+    assert run("compute", "--input", mfile, "--dim", 4, "--n", 8) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_precompute_rejects_workers_below_one(tmp_path, capsys, workers):
     assert run("precompute", "--dim", 4, "--workers", workers, "--out", tmp_path / "c") == 1
     assert "workers must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("s, message", [("5", "outside [-1, 1]"),
+                                        ("nan", "must be a finite real number")])
+def test_precompute_rejects_bad_s_before_making_a_directory(tmp_path, capsys, s, message):
+    root = tmp_path / "pc"
+    assert run("precompute", "--dim", 4, "--s", s, "--cache", root) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert not root.exists() or not any(root.iterdir())
 
 
 def test_method_d_checks_s_but_builds_no_parity(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from spinphase.angular import SpinDimension, build_spin_operator
-from spinphase.cgc import method_b_eval
+from spinphase.cgc import expansion_coefficients, method_b_eval
 from spinphase.fourier import fourier_coefficients_method_c
 from spinphase.kcache import fourier_coefficients_method_d, precompute_cache
 from spinphase.parity import build_parity
@@ -162,7 +162,7 @@ def test_as_density_matrix_checks_shape_and_values():
 
 
 @pytest.mark.parametrize("route", ["c", "d", "direct_grid", "direct_eval", "b_grid",
-                                   "b_eval"])
+                                   "b_eval", "expansion"])
 def test_grid_routes_reject_non_finite_rho(tmp_path, route):
     dim = SpinDimension.from_d(2)
     parity = build_parity(dim, 0.0)
@@ -176,6 +176,7 @@ def test_grid_routes_reject_non_finite_rho(tmp_path, route):
         "direct_eval": lambda: direct_eval(rho, parity, 0.3, 0.4),
         "b_grid": lambda: method_b_grid(rho, 0.0, 4),
         "b_eval": lambda: method_b_eval(rho, 0.0, 0.3, 0.4),
+        "expansion": lambda: expansion_coefficients(rho),
     }
     with pytest.raises(ValueError, match="non-finite"):
         calls[route]()
