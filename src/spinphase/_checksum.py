@@ -41,10 +41,16 @@ def _implementation():
         fn.restype = ctypes.c_uint32
 
         def libdeflate_crc32(buffer) -> int:
-            # A uint8 view gives the address of any contiguous buffer, read-only
-            # or not, at any alignment; it keeps the buffer alive for the call.
-            view = np.frombuffer(buffer, dtype=np.uint8)
-            return fn(0, view.ctypes.data, view.size)
+            # ctypes finds the address of a writable buffer, such as a cache
+            # record read by kcache, more cheaply than numpy's per-array
+            # ctypes object; a read-only buffer needs a uint8 view.  ``view``
+            # keeps the buffer alive for the call.
+            view = memoryview(buffer)
+            if not view.nbytes:
+                return 0
+            if view.readonly:
+                return fn(0, np.frombuffer(view, dtype=np.uint8).ctypes.data, view.nbytes)
+            return fn(0, ctypes.addressof(ctypes.c_char.from_buffer(view)), view.nbytes)
 
         if libdeflate_crc32(_KNOWN_INPUT) == _KNOWN_CRC:
             return libdeflate_crc32

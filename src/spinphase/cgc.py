@@ -293,6 +293,9 @@ def expansion_coefficients(rho: np.ndarray,
     """
     dim = SpinDimension.from_d(np.shape(rho)[0])
     rho = as_density_matrix(rho, dim)
+    if table is not None and table.dim != dim:
+        raise ValueError(f"tensor-operator table is for d = {table.dim.d}, "
+                         f"but rho has d = {dim.d}")
     band_of = table.band if table is not None else (lambda j, m: tensor_band(dim, j, m))
     rows = []
     for j in range(dim.two_j + 1):

@@ -88,7 +88,7 @@ def _build_state(args, dim: SpinDimension) -> tuple[np.ndarray, str]:
     if args.input is not None:
         if args.param:
             raise CliError("--param does not apply to --input")
-        rho = load_matrix(args.input)
+        rho = load_matrix(args.input, dim.d)
         if rho.shape[0] != dim.d:
             raise CliError(f"input matrix is {rho.shape[0]}x{rho.shape[0]}, "
                            f"but --dim {dim.d} was requested")

@@ -4,7 +4,10 @@ A spin-J phase-space function is a finite Fourier series with frequencies
 |ell|, |m| <= 2J.  Its coefficient table is obtained from the density
 matrix by a linear map built from the K_ell transformation matrices; each
 K_ell couples one theta frequency to every phi frequency through the
-diagonals of the density matrix.
+diagonals of the density matrix.  Methods c and d share ``_fill_table``,
+which lays rho out once per table and then, per K_ell, forms only the
+products on rho's nonzero diagonals and sums each diagonal in a fixed
+order (``_RowSums``).
 """
 
 from __future__ import annotations
@@ -27,9 +30,14 @@ __all__ = [
     "derivative_coefficients",
 ]
 
-# Above this size, diagonal sums switch from a sequential scatter-add to
+# Above this size, diagonal sums switch from a sequential running sum to
 # per-diagonal pairwise summation to keep the accumulation error at machine level.
 _PAIRWISE_THRESHOLD = 256
+
+# One NumPy call costs about as much as multiplying this many complex entries,
+# so a rho with fewer than d^2 / _ENTRIES_PER_CALL nonzero diagonals has its
+# products formed one diagonal per call instead of in one d x d call.
+_ENTRIES_PER_CALL = 1024
 
 
 @dataclass(frozen=True)
@@ -93,34 +101,103 @@ def compute_k(basis: EigenBasis, mtilde: TransformedParity, ell: int) -> KMatrix
 
 @lru_cache(maxsize=64)
 def _diag_sum_plan(d: int) -> np.ndarray:
-    """Diagonal index (offset + d - 1) of every flat entry; shared and read-only."""
+    """Diagonal index (offset + d - 1) of every flat entry; shared and read-only.
+
+    ``np.bincount(plan, weights=h.ravel())`` adds each diagonal of h in the
+    order of ``_RowSums``' running sums, which makes it their reference.
+    """
     idx = np.arange(d)
     plan = (idx[None, :] - idx[:, None] + (d - 1)).ravel()
     plan.setflags(write=False)
     return plan
 
 
-def _diagonal_sums(h: np.ndarray) -> np.ndarray:
-    """Sums of every diagonal of h, ordered by offset -(d-1)..(d-1)."""
-    d = h.shape[0]
-    if d <= _PAIRWISE_THRESHOLD:
-        # Same per-bin order as np.bincount, which would copy the read-only plan.
+def _skew_cells(skew: np.ndarray) -> np.ndarray:
+    """d x d view of a (d + 1) x (2d - 1) array: cell [i, j] is skew[1 + i, j - i + d - 1].
+
+    Diagonal k of the view is column k + d - 1, in row order, and row 0 is
+    no cell's.
+    """
+    d, width = skew.shape[0] - 1, skew.shape[1]
+    flat = skew.ravel()[width + d - 1:]  # rows of width - 1 entries from cell [0, 0]
+    return flat[: d * (width - 1)].reshape(d, width - 1)[:, :d]
+
+
+class _RowSums:
+    """One rho laid out for ``accumulate_row``, prepared once per table.
+
+    Entry m + d - 1 of a row is sum_i rho[i, i+m] K[i+m, i] (array indices):
+    the sum of diagonal k = -m of rho^T * K.  rho^T is stored C-contiguous,
+    so the product reads K contiguously, and each term has the same operands
+    in the same order as in rho * K^T, so the same bits.
+
+    A diagonal of rho that is all zero is neither multiplied nor summed: its
+    terms are 0 * K = +-0, whose sum, from +0.0, is +0.0 (K is finite).  The
+    others are summed in a fixed order.  For d <= _PAIRWISE_THRESHOLD the
+    product goes into a zeroed skew buffer in which diagonal k is column
+    k + d - 1, its terms in row order below a first row that stays zero, and
+    each column is a running sum from that row, term by term as
+    ``np.add.at`` would add them.  Above it, each diagonal is one pairwise
+    ``np.sum``.  The buffer belongs to this object, so tables built in
+    separate threads share nothing.
+    """
+
+    def __init__(self, rho: np.ndarray):
+        d = rho.shape[0]
+        self.rho_t = np.ascontiguousarray(rho.T)
+        seen = np.zeros((d + 1, 2 * d - 1), dtype=bool)
+        _skew_cells(seen)[...] = self.rho_t != 0
+        self.columns = np.flatnonzero(seen.any(axis=0))  # skew columns k + d - 1 to sum
+        self.offsets = self.columns - (d - 1)  # their diagonals k = -m of rho^T * K
+        self.places = (d - 1) - self.offsets  # and their row entries m + d - 1
+        self.dense = self.columns.size * _ENTRIES_PER_CALL >= d * d
+        self.rho_diagonals = [np.diagonal(self.rho_t, k) for k in self.offsets]
+        if d <= _PAIRWISE_THRESHOLD:
+            self.skew = np.zeros((d + 1, 2 * d - 1), dtype=complex)
+            self.cells = _skew_cells(self.skew)
+            self.cell_diagonals = [self.skew[1 + max(0, -k): 1 + min(d, d - k), c]
+                                   for k, c in zip(self.offsets, self.columns)]
+
+    def row(self, k_matrix: np.ndarray) -> np.ndarray:
+        d = self.rho_t.shape[0]
         out = np.zeros(2 * d - 1, dtype=complex)
-        np.add.at(out, _diag_sum_plan(d), h.ravel())
+        if d > _PAIRWISE_THRESHOLD:
+            product = self.rho_t * k_matrix if self.dense else None
+            for place, k, rho_k in zip(self.places, self.offsets, self.rho_diagonals):
+                terms = np.diagonal(product, k) if self.dense else rho_k * np.diagonal(k_matrix, k)
+                out[place] = np.sum(terms)
+        elif self.dense:
+            np.multiply(self.rho_t, k_matrix, out=self.cells)
+            # C-contiguous with >= 3 columns: NumPy adds the rows in order.
+            out[self.places] = np.add.reduce(self.skew, axis=0)[self.columns]
+        else:
+            for k, rho_k, cells_k in zip(self.offsets, self.rho_diagonals, self.cell_diagonals):
+                np.multiply(rho_k, np.diagonal(k_matrix, k), out=cells_k)
+            # A reduce over one column would sum it pairwise; accumulate never does.
+            out[self.places] = np.add.accumulate(self.skew[:, self.columns], axis=0)[-1]
         return out
-    out = np.empty(2 * d - 1, dtype=complex)
-    for off in range(-(d - 1), d):
-        out[off + d - 1] = np.sum(np.diagonal(h, off))
-    return out
 
 
-def accumulate_row(rho: np.ndarray, k_matrix: np.ndarray) -> np.ndarray:
+def _diagonal_sums(h: np.ndarray) -> np.ndarray:
+    """Sums of every diagonal of h, ordered by offset -(d-1)..(d-1).
+
+    Each term is 1 * h[i, j]: h itself up to the sign of a zero, which no
+    sum from +0.0 keeps.
+    """
+    return _RowSums(np.ones_like(h)).row(h.T)
+
+
+def accumulate_row(rho, k_matrix: np.ndarray) -> np.ndarray:
     """All phi-frequency coefficients carried by one K matrix.
 
     Returns the length-(4J+1) vector with entries
     sum_lambda rho_{lambda+m, lambda} [K]_{lambda, lambda+m}, m ascending.
+    ``rho`` is a density matrix or the ``_RowSums`` that ``_fill_table``
+    prepares from one once per table.
     """
-    return _diagonal_sums(rho * k_matrix.T)
+    if not isinstance(rho, _RowSums):
+        rho = _RowSums(rho)
+    return rho.row(k_matrix)
 
 
 def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
@@ -141,13 +218,14 @@ def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
     """
     two_j = dim.two_j
     hermitian = np.array_equal(rho, rho.conj().T)
+    prepared = _RowSums(rho)
     coeffs = np.zeros((2 * two_j + 1, 2 * two_j + 1), dtype=complex)
     for ell in range(-two_j, two_j + 1):
         if hermitian and ell < 0:
             if on_mirrored is not None:
                 on_mirrored(ell)
             continue
-        coeffs[ell + two_j, :] = accumulate_row(rho, k_of_ell(ell))
+        coeffs[ell + two_j, :] = accumulate_row(prepared, k_of_ell(ell))
     if hermitian:
         row0 = coeffs[two_j]
         np.conjugate(row0[:two_j:-1], out=row0[:two_j])

@@ -178,21 +178,33 @@ def write_matrix_csv(stream, rho: np.ndarray) -> None:
             stream.write(f"{r},{c},{v.real:.17g},{v.imag:.17g}\n")
 
 
-def read_matrix_csv(stream) -> np.ndarray:
+def read_matrix_csv(stream, d: int | None = None) -> np.ndarray:
+    """Matrix of a ``row,col,re,im`` CSV, sized by its largest index.
+
+    With ``d``, the dimension the caller expects, an index >= d is a
+    ``GridFileError`` before any allocation, so one stray row cannot ask for
+    gigabytes.
+    """
     data = _read_csv_rows(stream, "row", "matrix")
     index = data[:, :2]
     if not np.all(np.isfinite(index) & (index >= 0) & (index == np.floor(index))):
         raise GridFileError("matrix CSV row and col must be non-negative integers")
-    d = int(index.max()) + 1
-    rho = np.zeros((d, d), dtype=complex)
+    if d is not None and index.max() >= d:
+        raise GridFileError(f"matrix CSV index {index.max():g} does not fit "
+                            f"a {d} x {d} matrix")
+    size = int(index.max()) + 1
+    rho = np.zeros((size, size), dtype=complex)
     rho[tuple(index.astype(int).T)] = data[:, 2] + 1j * data[:, 3]
     return rho
 
 
-def load_matrix(path) -> np.ndarray:
-    """Dispatch on extension: .csv uses the text codec, anything else binary."""
+def load_matrix(path, d: int | None = None) -> np.ndarray:
+    """Dispatch on extension: .csv uses the text codec, anything else binary.
+
+    ``d`` is passed to ``read_matrix_csv``.
+    """
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with open(path, "r") as fh:
-            return read_matrix_csv(fh)
+            return read_matrix_csv(fh, d)
     return read_matrix(path)

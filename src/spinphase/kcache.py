@@ -11,6 +11,8 @@ payload bytes (``_checksum.crc32``, the values of ``zlib.crc32``).
 
 K_{-ell} is K_ell^H, so ``precompute_cache`` builds one product per +-ell
 pair and writes record -ell as the exact conjugate transpose of record ell.
+Method d reads every record whole, through one unbuffered ``FileIO`` per
+record, and checks its CRC on every call.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from io import FileIO
 from pathlib import Path
 
 import numpy as np
@@ -108,22 +111,29 @@ def _write_manifest(path: Path, manifest: dict) -> None:
         raise CacheError(f"failed to write manifest {path}: {exc}") from exc
 
 
-def _read_record(path: Path, d: int, s: float, ell: int) -> np.ndarray:
-    """Payload of one verified record of the right size as a flat complex array."""
+def _read_record(path: str, d: int, s: float, ell: int) -> np.ndarray:
+    """Payload of one verified record of the right size as a flat complex array.
+
+    ``path`` is a string.  One unbuffered ``FileIO`` reads the whole record
+    into a writable array; the CRC and the returned payload are views of it.
+    """
+    name = os.path.basename(path)
     try:
-        raw = path.read_bytes()
+        with FileIO(path) as fh:
+            raw = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+            size = fh.readinto(raw)
     except FileNotFoundError:
-        raise CacheIncompleteError(f"missing cache record {path.name}") from None
-    if len(raw) < _HEADER.size + 4:
-        raise CacheCorruptError(f"record {path.name} is truncated", ell=ell)
+        raise CacheIncompleteError(f"missing cache record {name}") from None
+    if size < _HEADER.size + 4:
+        raise CacheCorruptError(f"record {name} is truncated", ell=ell)
     magic, version, rec_d, rec_ell, rec_s = _HEADER.unpack_from(raw)
     if magic != MAGIC or version != FORMAT_VERSION:
-        raise CacheCorruptError(f"record {path.name} has a bad header", ell=ell)
+        raise CacheCorruptError(f"record {name} has a bad header", ell=ell)
     if rec_d != d or rec_ell != ell or rec_s != s:
         raise CacheMismatchError(
-            f"record {path.name} was written for d={rec_d}, s={rec_s}, ell={rec_ell}")
-    payload = memoryview(raw)[_HEADER.size:-4]  # a view: records are hundreds of kB
-    (crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
+            f"record {name} was written for d={rec_d}, s={rec_s}, ell={rec_ell}")
+    payload = raw[_HEADER.size:size - 4]
+    (crc,) = struct.unpack_from("<I", raw, size - 4)
     companion = ell == COMPANION_ELL
     if crc32(payload) != crc:
         label = "companion" if companion else f"ell = {ell}"
@@ -131,7 +141,7 @@ def _read_record(path: Path, d: int, s: float, ell: int) -> np.ndarray:
     if payload.nbytes != 16 * (d * d + d if companion else d * d):
         label = "companion record" if companion else f"record for ell = {ell}"
         raise CacheCorruptError(f"{label} has wrong size", ell=ell)
-    return np.frombuffer(payload, dtype="<c16")
+    return payload.view("<c16")
 
 
 @dataclass
@@ -184,13 +194,14 @@ class KCache:
                    if rec["ell"] == COMPANION_ELL)
 
     def read_k(self, ell: int) -> np.ndarray:
-        flat = _read_record(self.directory / _record_name(ell), self.d, self.s, ell)
+        flat = _read_record(os.path.join(self.directory, _record_name(ell)),
+                            self.d, self.s, ell)
         return flat.reshape(self.d, self.d)
 
     def read_companion(self):
         """(U, parity diagonal, J_y eigenvalues) from the companion record."""
         d = self.d
-        flat = _read_record(self.directory / _record_name(COMPANION_ELL),
+        flat = _read_record(os.path.join(self.directory, _record_name(COMPANION_ELL)),
                             d, self.s, COMPANION_ELL)
         u = flat[: d * d].reshape(d, d)
         reals = flat[d * d:]  # d complex slots carry 2d packed reals
@@ -230,7 +241,7 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
             for rec in manifest["records"]:
                 ell = rec["ell"]
                 try:
-                    _read_record(directory / _record_name(ell), dim.d, s, ell)
+                    _read_record(os.path.join(directory, _record_name(ell)), dim.d, s, ell)
                     kept[ell] = rec
                 except (CacheCorruptError, CacheIncompleteError, CacheMismatchError):
                     stale.add(ell)  # the manifest matched: a mismatch is a stray record

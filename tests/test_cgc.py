@@ -325,3 +325,11 @@ def test_method_b_matches_direct_oracle(d):
         for theta, phi in [(0.3, 0.9), (1.8, 4.0)]:
             assert abs(method_b_eval(rho, s, theta, phi)
                        - direct_eval(rho, parity, theta, phi)) < 1e-10
+
+
+@pytest.mark.parametrize("d_table, d_rho", [(4, 5), (5, 4)])
+def test_expansion_rejects_a_table_of_another_dimension(d_table, d_rho):
+    table = TensorOperatorTable(SpinDimension.from_d(d_table))
+    rho = random_density(SpinDimension.from_d(d_rho), 3)
+    with pytest.raises(ValueError, match=f"table is for d = {d_table}, but rho has d = {d_rho}"):
+        expansion_coefficients(rho, table)

@@ -48,14 +48,17 @@ def test_equals_zlib_for_short_and_long_buffers(fast):
     data = np.random.default_rng(0).integers(0, 256, 1 << 20, dtype=np.uint8).tobytes()
     for length in range(65):
         assert crc32(data[:length]) == zlib.crc32(data[:length])
+        assert crc32(bytearray(data[:length])) == zlib.crc32(data[:length])  # writable
     assert crc32(data) == zlib.crc32(data)
 
 
 def test_unaligned_memoryview_slices(fast):
     data = bytes(range(256)) * 40
+    writable = np.frombuffer(bytearray(data), dtype=np.uint8)
     for offset in range(1, 8):
         view = memoryview(data)[offset:offset + 4099]
         assert crc32(view) == zlib.crc32(view)
+        assert crc32(writable[offset:offset + 4099]) == zlib.crc32(view)
 
 
 def test_buffer_kinds(fast):
@@ -66,6 +69,8 @@ def test_buffer_kinds(fast):
     assert crc32(array) == expected
     assert crc32(array.tobytes()) == expected
     assert crc32(bytearray(array.tobytes())) == expected
+    array.setflags(write=False)
+    assert crc32(array) == expected
 
 
 @pytest.mark.parametrize("change", [

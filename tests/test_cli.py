@@ -127,6 +127,15 @@ def test_input_too_large_to_allocate_is_an_error_not_a_traceback(tmp_path, capsy
     assert captured.out == ""
 
 
+
+def test_input_index_beyond_dim_names_the_mismatch(tmp_path, capsys):
+    mfile = tmp_path / "big.csv"
+    mfile.write_text("row,col,re,im\n0,0,1,0\n100000,0,0,0\n")
+    assert run("compute", "--input", mfile, "--dim", 4, "--n", 8) == 1
+    assert capsys.readouterr().err == (
+        "error: matrix CSV index 100000 does not fit a 4 x 4 matrix\n")
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_precompute_rejects_workers_below_one(tmp_path, capsys, workers):
     assert run("precompute", "--dim", 4, "--workers", workers, "--out", tmp_path / "c") == 1

@@ -384,3 +384,139 @@ def test_sphere_integral_equals_weighted_trace(d, s):
         integral = 2 * np.pi * table.coeffs[:, dim.two_j] @ _theta_integrals(dim.two_j)
         expected = gamma_0 ** (1 - s) * np.trace(rho)
         assert abs(radius_sq * integral - expected) < 1e-12
+
+
+# The fused accumulation against reference formulas: the diagonal sums
+# of rho * K^T, term by term through np.add.at for d <= 256 and one pairwise
+# np.sum per diagonal above.  Bytes are compared, so even the sign of a zero
+# coefficient counts.
+
+def _reference_row(rho, k):
+    from spinphase.fourier import _diag_sum_plan
+
+    h = rho * k.T
+    d = h.shape[0]
+    if d <= 256:
+        out = np.zeros(2 * d - 1, dtype=complex)
+        np.add.at(out, _diag_sum_plan(d), h.ravel())
+        return out
+    out = np.empty(2 * d - 1, dtype=complex)
+    for off in range(-(d - 1), d):
+        out[off + d - 1] = np.sum(np.diagonal(h, off))
+    return out
+
+
+def _wide_range(rng, d):
+    """Complex entries spanning 1e-20..1e20, so any change of summation order shows."""
+    shape = (d, d)
+    return ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            * 10.0 ** rng.integers(-20, 21, shape))
+
+
+def _accumulation_inputs(d, rng):
+    from spinphase.cgc import tensor_operator
+
+    dim = SpinDimension.from_d(d)
+    dense = _wide_range(rng, d)  # non-Hermitian
+    one_zero_diagonal = dense.copy()
+    one_zero_diagonal[np.arange(d - 1), np.arange(1, d)] = 0.0
+    inputs = {
+        "dense": dense,
+        "one zero diagonal": one_zero_diagonal,
+        "dicke": dicke(dim, dim.j - 1),
+        "ghz": ghz(dim),
+        "diagonal only": np.diag(dense.diagonal()),
+        "band": np.triu(np.tril(dense, 2), -3),
+        "F-ordered": np.asfortranarray(dense),
+        "non-contiguous": _wide_range(rng, 2 * d)[::2, ::2],
+        "zero": np.zeros((d, d), dtype=complex),
+    }
+    for j, m in ((min(3, d - 1), -min(2, d - 1)), (d - 1, d - 1), (1, 0)):
+        inputs[f"T_{j}{m}"] = tensor_operator(dim, j, m)
+    return inputs
+
+
+@pytest.mark.parametrize("d", [2, 7, 200, 256, 257, 320])
+def test_fused_rows_match_the_reference_formula_bit_for_bit(d):
+    from spinphase.fourier import _RowSums, accumulate_row
+
+    rng = np.random.default_rng(d)
+    k = _wide_range(rng, d)
+    for name, rho in _accumulation_inputs(d, rng).items():
+        expected = _reference_row(rho, k).tobytes()
+        prepared = _RowSums(rho)
+        for _ in range(2):  # the skew buffer is reused row after row
+            assert accumulate_row(prepared, k).tobytes() == expected, name
+        assert accumulate_row(rho, k).tobytes() == expected, name
+        k = _wide_range(rng, d)
+
+
+@pytest.mark.parametrize("d", [7, 200])
+def test_running_sums_start_from_positive_zero(d):
+    # rho_ii * K_ii underflows to -0.0 on the whole main diagonal; np.add.at
+    # starts from +0.0, so the coefficient is +0.0, not -0.0.
+    from spinphase.fourier import accumulate_row
+
+    for rho in (np.diag(np.full(d, 1e-300 + 0j)), np.full((d, d), 1e-300 + 0j)):
+        k = np.full((d, d), -1e-300 + 0j)
+        row = accumulate_row(rho, k)
+        assert row.tobytes() == _reference_row(rho, k).tobytes()
+        assert not np.signbit(row[d - 1].real)
+
+
+def _reference_table(monkeypatch, build, rho):
+    """The table ``build`` makes when every row comes from the reference formula."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fourier, "accumulate_row", lambda prepared, k: _reference_row(rho, k))
+        return build(rho).coeffs
+
+
+@pytest.mark.parametrize("d", [7, 40])
+@pytest.mark.parametrize("s", [-1.0, 0.5])
+def test_fused_tables_match_the_reference_formula_bit_for_bit(d, s, tmp_path, monkeypatch):
+    # Rows above d = 256 are covered row by row above; their tables take seconds.
+    from spinphase.cgc import tensor_operator
+
+    dim = SpinDimension.from_d(d)
+    parity = build_parity(dim, s)
+    cache = precompute_cache(dim, s, tmp_path)
+    rng = np.random.default_rng(d)
+    rhos = [ghz(dim), dicke(dim, -dim.j), tensor_operator(dim, 2, 1),
+            random_density(dim, d), _wide_range(rng, d)]
+    for rho in rhos:
+        for build in (lambda r: fourier_coefficients_method_c(r, parity),
+                      lambda r: fourier_coefficients_method_d(r, cache)):
+            expected = _reference_table(monkeypatch, build, rho)
+            assert build(rho).coeffs.tobytes() == expected.tobytes()
+
+
+def test_tables_built_in_threads_match_the_serial_tables(tmp_path):
+    # Each table owns its skew buffer; a shared one would mix rows of
+    # different states once threads interleave inside NumPy calls.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    d = 64
+    dim = SpinDimension.from_d(d)
+    parity = build_parity(dim, 0.0)
+    cache = precompute_cache(dim, 0.0, tmp_path)
+    rng = np.random.default_rng(5)
+    rhos = [random_density(dim, 1), ghz(dim), _wide_range(rng, d), dicke(dim, 0.5),
+            random_density(dim, 2), np.triu(np.tril(_wide_range(rng, d), 1), -1)]
+    jobs = [(rho, method) for rho in rhos for method in "cd"]
+
+    def table(job):
+        rho, method = job
+        if method == "c":
+            return fourier_coefficients_method_c(rho, parity).coeffs.tobytes()
+        return fourier_coefficients_method_d(rho, cache).coeffs.tobytes()
+
+    serial = [table(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            for _ in range(3):
+                assert list(pool.map(table, jobs, timeout=120)) == serial
+    finally:
+        sys.setswitchinterval(interval)

@@ -182,3 +182,19 @@ def test_header_only_csv_is_an_error_without_a_warning(reader, header):
 def test_matrix_csv_rejects_short_rows():
     with pytest.raises(GridFileError, match="4 fields, got 2"):
         read_matrix_csv(io.StringIO("row,col,re,im\n0,0\n1,1\n"))
+
+
+def test_matrix_csv_index_beyond_the_expected_d_fails_before_allocating(tmp_path):
+    # Sized from the index alone, a 1e15 x 1e15 matrix could never be allocated;
+    # with the expected d the reader refuses the row before it tries.
+    path = tmp_path / "m.csv"
+    for row in ("4,0,0,0", "0,4,0,0", "1000000000000000,0,0,0"):
+        path.write_text(f"row,col,re,im\n0,0,1,0\n{row}\n")
+        with pytest.raises(GridFileError, match="does not fit a 4 x 4 matrix"):
+            load_matrix(path, 4)
+        with open(path) as fh, pytest.raises(GridFileError, match="does not fit"):
+            read_matrix_csv(fh, 4)
+    # Indices below d keep sizing the matrix by the largest one, as without d.
+    path.write_text("row,col,re,im\n0,0,0.5,0\n2,2,0.5,0\n")
+    assert load_matrix(path, 4).shape == (3, 3)
+    assert load_matrix(path).shape == (3, 3)
