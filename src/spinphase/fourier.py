@@ -7,11 +7,15 @@ K_ell couples one theta frequency to every phi frequency through the
 diagonals of the density matrix.  Methods c and d share ``_fill_table``,
 which lays rho out once per table and then, per K_ell, forms only the
 products on rho's nonzero diagonals and sums each diagonal in a fixed
-order (``_RowSums``).
+order (``_RowSums``).  Method d's loop runs on two threads when the process
+may use two CPUs; method c's stays on one.
 """
 
 from __future__ import annotations
 
+import copy
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -139,7 +143,8 @@ class _RowSums:
     each column is a running sum from that row, term by term as
     ``np.add.at`` would add them.  Above it, each diagonal is one pairwise
     ``np.sum``.  The buffer belongs to this object, so tables built in
-    separate threads share nothing.
+    separate threads share nothing; ``for_another_thread`` gives a second
+    thread of one table its own buffer and shares the rest, which is only read.
     """
 
     def __init__(self, rho: np.ndarray):
@@ -152,11 +157,20 @@ class _RowSums:
         self.places = (d - 1) - self.offsets  # and their row entries m + d - 1
         self.dense = self.columns.size * _ENTRIES_PER_CALL >= d * d
         self.rho_diagonals = [np.diagonal(self.rho_t, k) for k in self.offsets]
+        self._own_buffer()
+
+    def _own_buffer(self) -> None:
+        d = self.rho_t.shape[0]
         if d <= _PAIRWISE_THRESHOLD:
             self.skew = np.zeros((d + 1, 2 * d - 1), dtype=complex)
             self.cells = _skew_cells(self.skew)
             self.cell_diagonals = [self.skew[1 + max(0, -k): 1 + min(d, d - k), c]
                                    for k, c in zip(self.offsets, self.columns)]
+
+    def for_another_thread(self) -> _RowSums:
+        other = copy.copy(self)
+        other._own_buffer()
+        return other
 
     def row(self, k_matrix: np.ndarray) -> np.ndarray:
         d = self.rho_t.shape[0]
@@ -200,9 +214,54 @@ def accumulate_row(rho, k_matrix: np.ndarray) -> np.ndarray:
     return rho.row(k_matrix)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _on_two_threads(ells: range, fill: Callable[[int, _RowSums], None],
+                    prepared: _RowSums) -> None:
+    """fill(ell, rows) for every ell: the even ones here, the odd ones on a helper thread.
+
+    Each thread has its own skew buffer, and a failure stops both threads
+    before any larger ell.  The helper is joined first, then the error of the
+    smallest failing ell is raised: the one the serial loop raises, since
+    every smaller ell has run.
+    """
+    lock = threading.Lock()
+    errors: dict[int, BaseException] = {}  # at most one per thread
+    stop = ells.stop  # smallest failing ell so far
+
+    def work(parity: int, rows: _RowSums) -> None:
+        nonlocal stop
+        for ell in ells:
+            if ell % 2 != parity:
+                continue
+            if ell > stop:
+                return
+            try:
+                fill(ell, rows)
+            except BaseException as exc:
+                with lock:
+                    errors[ell] = exc
+                    stop = min(stop, ell)
+                return
+
+    helper = threading.Thread(target=work, args=(1, prepared.for_another_thread()),
+                              name="spinphase-rows", daemon=True)
+    helper.start()
+    work(0, prepared)
+    helper.join()
+    if errors:
+        raise errors[min(errors)]
+
+
 def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
                 k_of_ell: Callable[[int], np.ndarray],
-                on_mirrored: Callable[[int], object] | None = None) -> FourierTable:
+                on_mirrored: Callable[[int], object] | None = None,
+                two_threads: bool = False) -> FourierTable:
     """Table whose row ell is accumulate_row(rho, k_of_ell(ell)), for methods c and d.
 
     An exactly Hermitian rho has a real phase-space function, so
@@ -214,18 +273,36 @@ def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
     Any other operator, even one ulp from Hermitian, takes every row from
     its own K.
 
-    ``accumulate_row`` is looked up as a module global, so wrappers of it see both.
+    With ``two_threads`` (method d) and at least two usable CPUs, the
+    calling thread takes the even ell and one helper thread the odd ell,
+    each calling ``k_of_ell``/``on_mirrored`` for its own ell.  Method d's
+    record reads, CRCs and large NumPy products release the GIL, so the two
+    overlap; each row is computed as on one thread, so the table is the same
+    bytes.  Method c stays on one thread: BLAS already threads its K
+    products.  On one CPU no thread is started.
+
+    ``accumulate_row`` is looked up as a module global, so wrappers of it see
+    both methods.  With two threads, wrappers of it or of the record reader
+    run on both, and times they record add up over the two.
     """
     two_j = dim.two_j
     hermitian = np.array_equal(rho, rho.conj().T)
     prepared = _RowSums(rho)
     coeffs = np.zeros((2 * two_j + 1, 2 * two_j + 1), dtype=complex)
-    for ell in range(-two_j, two_j + 1):
+
+    def fill(ell: int, rows: _RowSums) -> None:
         if hermitian and ell < 0:
             if on_mirrored is not None:
                 on_mirrored(ell)
-            continue
-        coeffs[ell + two_j, :] = accumulate_row(prepared, k_of_ell(ell))
+        else:
+            coeffs[ell + two_j, :] = accumulate_row(rows, k_of_ell(ell))
+
+    ells = range(-two_j, two_j + 1)
+    if two_threads and _usable_cpus() >= 2:
+        _on_two_threads(ells, fill, prepared)
+    else:
+        for ell in ells:
+            fill(ell, prepared)
     if hermitian:
         row0 = coeffs[two_j]
         np.conjugate(row0[:two_j:-1], out=row0[:two_j])

@@ -12,7 +12,12 @@ payload bytes (``_checksum.crc32``, the values of ``zlib.crc32``).
 K_{-ell} is K_ell^H, so ``precompute_cache`` builds one product per +-ell
 pair and writes record -ell as the exact conjugate transpose of record ell.
 Method d reads every record whole, through one unbuffered ``FileIO`` per
-record, and checks its CRC on every call.
+record, and checks its CRC on every call.  When the process may use two
+CPUs, ``fourier._fill_table`` splits the records between the calling thread
+(even ell) and one helper thread (odd ell); each reads, verifies and
+accumulates its own, and the error of the smallest failing ell is raised,
+as on one thread.  A traced run therefore sums read and accumulation times
+over both threads, and they can exceed the time of the method-d call.
 """
 
 from __future__ import annotations
@@ -316,4 +321,5 @@ def fourier_coefficients_method_d(rho: np.ndarray, cache: KCache) -> FourierTabl
     dim = cache.dim
     rho = as_density_matrix(rho, dim)
     cache.manifest()  # lists every record, or raises
-    return _fill_table(rho, dim, cache.s, cache.read_k, on_mirrored=cache.read_k)
+    return _fill_table(rho, dim, cache.s, cache.read_k, on_mirrored=cache.read_k,
+                       two_threads=True)

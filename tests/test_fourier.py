@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from spinphase.kcache import KCache, fourier_coefficients_method_d, precompute_c
 from spinphase.parity import build_parity, transform_parity
 from spinphase.sampling import direct_eval, direct_grid, grid_phis, grid_thetas, \
     method_b_grid, minimal_grid_size, sample_fft
-from spinphase.states import dicke, ghz, maximally_mixed, random_density
+from spinphase.states import coherent, dicke, ghz, maximally_mixed, random_density, squeezed
 
 
 def _table(d, s, seed=None, rho=None):
@@ -321,10 +322,12 @@ def test_hermitian_table_is_exactly_conjugate_symmetric_despite_roundoff(monkeyp
 @pytest.mark.parametrize("d", [6, 9])
 def test_only_exactly_hermitian_rho_takes_the_half_path(d, tmp_path, monkeypatch):
     calls = {"accumulate_row": 0, "read_k": 0}
+    lock = threading.Lock()  # method d counts from two threads
 
     def counted(name, func):
         def wrapper(*args):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return func(*args)
         return wrapper
 
@@ -520,3 +523,61 @@ def test_tables_built_in_threads_match_the_serial_tables(tmp_path):
                 assert list(pool.map(table, jobs, timeout=120)) == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("d", [2, 3, 64, 65, 257])
+def test_two_thread_method_d_tables_match_one_thread_tables(d, tmp_path, monkeypatch):
+    # Odd and even row counts, on both sides of _PAIRWISE_THRESHOLD.  The
+    # helper thread runs whatever the CPU count of the machine.
+    import shutil
+
+    monkeypatch.setattr(fourier, "_usable_cpus", lambda: 2)
+    dim = SpinDimension.from_d(d)
+    cache = precompute_cache(dim, 0.0, tmp_path / "cache")
+    read_k = cache.read_k
+    readers = set()
+
+    def recorded(ell):
+        readers.add(threading.get_ident())
+        return read_k(ell)
+
+    monkeypatch.setattr(cache, "read_k", recorded)
+    rng = np.random.default_rng(d)
+    a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+    one_ulp = random_density(dim, d)
+    one_ulp[0, -1] = complex(np.nextafter(one_ulp[0, -1].real, np.inf), one_ulp[0, -1].imag)
+    rhos = {"ghz": ghz(dim), "dicke": dicke(dim, dim.j - 1), "squeezed": squeezed(dim, 0.3),
+            "coherent": coherent(dim, 0.7, 1.9), "mixed": maximally_mixed(dim),
+            "random": random_density(dim, d), "|a><b|": np.outer(a, b.conj()),
+            "one ulp": one_ulp}
+    try:
+        for name, rho in rhos.items():
+            serial = fourier._fill_table(rho, dim, 0.0, read_k, on_mirrored=read_k)
+            readers.clear()
+            table = fourier_coefficients_method_d(rho, cache)
+            assert len(readers) == 2, name
+            assert table.coeffs.tobytes() == serial.coeffs.tobytes(), name
+    finally:
+        shutil.rmtree(cache.directory)  # 540 MB at d = 257
+
+
+def test_one_usable_cpu_starts_no_thread(tmp_path, monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert fourier._usable_cpus() == 1
+    dim = SpinDimension.from_d(9)
+    cache = precompute_cache(dim, 0.0, tmp_path)
+    threads = threading.active_count()
+    readers = set()
+    read_k = cache.read_k
+
+    def recorded(ell):
+        readers.add(threading.get_ident())
+        assert threading.active_count() == threads
+        return read_k(ell)
+
+    monkeypatch.setattr(cache, "read_k", recorded)
+    fourier_coefficients_method_d(random_density(dim, 4), cache)
+    assert readers == {threading.get_ident()}

@@ -1,5 +1,6 @@
 import json
 import struct
+import threading
 import time
 import tracemalloc
 import zlib
@@ -7,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from spinphase import kcache
+from spinphase import fourier, kcache
 from spinphase.angular import SpinDimension, jy_eigenbasis
 from spinphase.cli import main
 from spinphase.fourier import fourier_coefficients_method_c
@@ -95,6 +96,53 @@ def test_corrupt_record_fails_loudly(cache10):
     rho = random_density(SpinDimension.from_d(10), 1)
     with pytest.raises(CacheCorruptError, match="-4"):
         fourier_coefficients_method_d(rho, cache10)
+
+
+def _serial_error(cache, rho):
+    """The error that method d's loop raises on one thread."""
+    dim = cache.dim
+    with pytest.raises(kcache.CacheError) as info:
+        fourier._fill_table(rho, dim, cache.s, cache.read_k, on_mirrored=cache.read_k)
+    return info.value
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("ells", [(-3, -2), (-6, -1), (2, 7), (-5, 4)])
+def test_corrupt_records_on_both_threads_raise_the_serial_error(cache10, monkeypatch,
+                                                               ells, hermitian):
+    # Odd ell are read on the helper thread and even ell on the caller's.
+    monkeypatch.setattr(fourier, "_usable_cpus", lambda: 2)
+    for ell in ells:
+        victim = cache10.directory / kcache._record_name(ell)
+        raw = bytearray(victim.read_bytes())
+        raw[-30] ^= 0x01
+        victim.write_bytes(raw)
+    dim = SpinDimension.from_d(10)
+    rho = random_density(dim, 1)
+    if not hermitian:
+        rho[0, 1] += 1e-3
+    expected = _serial_error(cache10, rho)
+    assert type(expected) is CacheCorruptError and expected.ell == min(ells)
+    threads = threading.active_count()
+    with pytest.raises(CacheCorruptError, match=f"ell = {min(ells)}$") as info:
+        fourier_coefficients_method_d(rho, cache10)
+    assert info.value.ell == min(ells)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("ells", [(-3, -2), (-6, -1), (2, 7)])
+def test_missing_records_on_both_threads_raise_the_serial_error(cache10, monkeypatch, ells):
+    monkeypatch.setattr(fourier, "_usable_cpus", lambda: 2)
+    for ell in ells:
+        (cache10.directory / kcache._record_name(ell)).unlink()
+    rho = random_density(SpinDimension.from_d(10), 1)
+    expected = _serial_error(cache10, rho)
+    first = kcache._record_name(min(ells))
+    assert type(expected) is CacheIncompleteError and str(expected).endswith(first)
+    threads = threading.active_count()
+    with pytest.raises(CacheIncompleteError, match=f"{first}$"):
+        fourier_coefficients_method_d(rho, cache10)
+    assert threading.active_count() == threads
 
 
 def test_missing_record_is_incomplete(cache10):
