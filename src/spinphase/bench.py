@@ -22,7 +22,6 @@ from .angular import SpinDimension, jy_eigenbasis
 from .cgc import expansion_coefficients
 from .cli import TABLE_ROUTES, CliError
 from .fourier import fourier_coefficients_method_c
-from .kcache import cache_directory  # re-exported: callers build bench caches with it
 from .parity import build_parity
 from .sampling import default_grid_size, sample_fft
 from .states import random_density

@@ -176,7 +176,7 @@ def cmd_precompute(args) -> int:
     s = _resolve_s(args)
     directory = (Path(args.out) if args.out
                  else cache_directory(_cache_root(_given_root(args)), dim.d, s))
-    cache = precompute_cache(dim, s, directory, force=args.force, workers=args.workers)
+    cache = precompute_cache(dim, s, directory, force=args.force)
     k_bytes = cache.k_payload_bytes()
     print(f"{cache.last_action} cache in {cache.directory}")
     print(f"K-record payload: {k_bytes} bytes ({k_bytes / 1e3:.1f} kB)")
@@ -248,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--out", help="exact cache directory (default: under cache root)")
     pre.add_argument("--cache", help="cache root directory")
     pre.add_argument("--force", action="store_true", help="rewrite even if verified")
-    pre.add_argument("--workers", type=int, default=1,
-                     help="parallel workers for the K-matrix loop")
     pre.set_defaults(func=cmd_precompute)
 
     helps = {"compute": "sample a phase-space function onto a grid",

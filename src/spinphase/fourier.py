@@ -18,7 +18,6 @@ import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,19 +102,6 @@ def compute_k(basis: EigenBasis, mtilde: TransformedParity, ell: int) -> KMatrix
     return KMatrix(dim=basis.dim, s=mtilde.s, ell=int(ell), matrix=matrix)
 
 
-@lru_cache(maxsize=64)
-def _diag_sum_plan(d: int) -> np.ndarray:
-    """Diagonal index (offset + d - 1) of every flat entry; shared and read-only.
-
-    ``np.bincount(plan, weights=h.ravel())`` adds each diagonal of h in the
-    order of ``_RowSums``' running sums, which makes it their reference.
-    """
-    idx = np.arange(d)
-    plan = (idx[None, :] - idx[:, None] + (d - 1)).ravel()
-    plan.setflags(write=False)
-    return plan
-
-
 def _skew_cells(skew: np.ndarray) -> np.ndarray:
     """d x d view of a (d + 1) x (2d - 1) array: cell [i, j] is skew[1 + i, j - i + d - 1].
 
@@ -190,15 +176,6 @@ class _RowSums:
             # A reduce over one column would sum it pairwise; accumulate never does.
             out[self.places] = np.add.accumulate(self.skew[:, self.columns], axis=0)[-1]
         return out
-
-
-def _diagonal_sums(h: np.ndarray) -> np.ndarray:
-    """Sums of every diagonal of h, ordered by offset -(d-1)..(d-1).
-
-    Each term is 1 * h[i, j]: h itself up to the sign of a zero, which no
-    sum from +0.0 keeps.
-    """
-    return _RowSums(np.ones_like(h)).row(h.T)
 
 
 def accumulate_row(rho, k_matrix: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import FileIO
 from pathlib import Path
@@ -221,15 +220,13 @@ def _companion_payload(basis: EigenBasis, parity: ParityOperator) -> bytes:
 
 
 def precompute_cache(dim: SpinDimension, s: float, directory,
-                     force: bool = False, workers: int = 1) -> KCache:
+                     force: bool = False) -> KCache:
     """Write (or verify) every K record plus the companion record.
 
     Idempotent: an existing complete cache is checksum-verified and only
     mismatching records are rewritten.  The manifest is written last so a
     partial run never masquerades as a complete cache.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     s = validate_s(s)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -272,35 +269,27 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
             crc = _write_record(path, dim.d, s, ell, payload)
         except OSError as exc:
             raise CacheError(f"failed to write record for ell = {ell}: {exc}") from exc
-        return {"ell": ell, "file": path.name,
-                "crc32": crc, "payload_bytes": memoryview(payload).nbytes}
+        kept[ell] = {"ell": ell, "file": path.name,
+                     "crc32": crc, "payload_bytes": memoryview(payload).nbytes}
 
-    def write_pair(key):
-        """Write the due records of the companion (key COMPANION_ELL) or of ell = +-key."""
-        if key == COMPANION_ELL:
-            return [write_one(key, _companion_payload(basis, parity))]
-        k = np.ascontiguousarray(_k_matrix(u, mtilde, key), dtype="<c16")
-        done = [write_one(key, k)] if key in due else []
-        if key > 0 and -key in due:
-            done.append(write_one(-key, np.conj(k.T, order="C")))
-        return done
-
-    # One task per |ell| builds K_ell once and writes both records of the
-    # +-ell pair, so a worker holds at most two records at a time.
+    # One product per |ell| gives K_ell and, as its conjugate transpose,
+    # K_-ell, so at most two records exist at a time.
     due = set(all_ells) if stale is None else stale
-    keys = sorted({ell if ell == COMPANION_ELL else abs(ell) for ell in due})
-    if workers == 1:
-        written = map(write_pair, keys)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            written = list(pool.map(write_pair, keys))
-    kept.update((rec["ell"], rec) for pair in written for rec in pair)
+    if COMPANION_ELL in due:
+        write_one(COMPANION_ELL, _companion_payload(basis, parity))
+    for ell in range(two_j + 1):
+        if ell in due or -ell in due:
+            k = np.ascontiguousarray(_k_matrix(u, mtilde, ell), dtype="<c16")
+            if ell in due:
+                write_one(ell, k)
+            if ell > 0 and -ell in due:
+                write_one(-ell, np.conj(k.T, order="C"))
 
     records = [kept[ell] for ell in all_ells]
     manifest = {"format_version": FORMAT_VERSION, "d": dim.d, "s": repr(s),
                 "records": records, "complete": True}
     _write_manifest(cache.manifest_path, manifest)
-    cache.last_action = "written" if stale is None or force else "repaired"
+    cache.last_action = "written" if stale is None else "repaired"
     return cache
 
 

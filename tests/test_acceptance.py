@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from spinphase.angular import SpinDimension, jy_eigenbasis
-from spinphase.bench import cache_directory, run_bench
+from spinphase.bench import run_bench
 from spinphase.cgc import TensorOperatorTable, expansion_coefficients, harmonic_grid, \
     tensor_operator
 from spinphase.fourier import (FourierTable, compute_k, derivative_coefficients,
                                fourier_coefficients_method_c)
 from spinphase.gridfile import read_grid, write_grid
-from spinphase.kcache import (CacheCorruptError, fourier_coefficients_method_d,
+from spinphase.kcache import (CacheCorruptError, cache_directory, fourier_coefficients_method_d,
                               precompute_cache)
 from spinphase.parity import build_parity, sphere_radius, transform_parity
 from spinphase.sampling import (direct_eval, direct_grid, grid_phis, grid_thetas,

@@ -3,8 +3,8 @@ import io
 import pytest
 
 from spinphase.angular import SpinDimension
-from spinphase.bench import cache_directory, default_grid_size, run_bench
-from spinphase.kcache import precompute_cache
+from spinphase.bench import default_grid_size, run_bench
+from spinphase.kcache import cache_directory, precompute_cache
 
 
 def test_default_grid_size_rule():

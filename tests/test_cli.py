@@ -136,10 +136,11 @@ def test_input_index_beyond_dim_names_the_mismatch(tmp_path, capsys):
         "error: matrix CSV index 100000 does not fit a 4 x 4 matrix\n")
 
 
-@pytest.mark.parametrize("workers", [0, -3])
-def test_precompute_rejects_workers_below_one(tmp_path, capsys, workers):
-    assert run("precompute", "--dim", 4, "--workers", workers, "--out", tmp_path / "c") == 1
-    assert "workers must be at least 1" in capsys.readouterr().err
+def test_precompute_has_no_workers_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run("precompute", "--dim", 4, "--workers", 2, "--out", tmp_path / "c")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
 
 
@@ -193,10 +194,13 @@ def _child_env():
 
 
 def test_cli_import_does_not_load_scipy_linalg():
-    probe = "import sys, spinphase.cli; print('scipy.linalg' in sys.modules)"
+    # nor a thread pool: the K cache is built in one serial loop
+    probe = ("import sys, spinphase.cli; "
+             "print([m for m in ('scipy.linalg', 'concurrent.futures', 'logging') "
+             "if m in sys.modules])")
     result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                             capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -227,10 +227,27 @@ def test_theta_derivative_matches_central_differences():
     assert np.abs(analytic - fd).max() < 1e-6
 
 
+def _diag_sum_plan(d):
+    """Diagonal index (offset + d - 1) of every flat entry of a d x d array.
+
+    ``np.bincount(plan, weights=h.ravel())`` adds each diagonal of h in the
+    order of ``_RowSums``' running sums, which makes it their reference.
+    """
+    idx = np.arange(d)
+    return (idx[None, :] - idx[:, None] + (d - 1)).ravel()
+
+
+def _diagonal_sums(h):
+    """Sums of every diagonal of h through ``_RowSums``, offset -(d-1)..(d-1).
+
+    Each term is 1 * h[i, j]: h itself up to the sign of a zero, which no
+    sum from +0.0 keeps.
+    """
+    return fourier._RowSums(np.ones_like(h)).row(h.T)
+
+
 def test_diagonal_sum_branches_agree():
     # d > 256 switches from bincount to per-diagonal pairwise summation.
-    from spinphase.fourier import _diag_sum_plan, _diagonal_sums
-
     rng = np.random.default_rng(12)
     d = 300
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -242,8 +259,6 @@ def test_diagonal_sum_branches_agree():
 
 
 def test_scatter_add_branch_matches_bincount_bit_for_bit():
-    from spinphase.fourier import _diag_sum_plan, _diagonal_sums
-
     rng = np.random.default_rng(13)
     for d in (2, 7, 200, 256):
         h = ((rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
@@ -252,18 +267,6 @@ def test_scatter_add_branch_matches_bincount_bit_for_bit():
         binned = (np.bincount(plan, weights=h.real.ravel(), minlength=2 * d - 1)
                   + 1j * np.bincount(plan, weights=h.imag.ravel(), minlength=2 * d - 1))
         assert np.array_equal(_diagonal_sums(h), binned)
-
-
-def test_diag_sum_plan_is_one_shared_read_only_array_per_d():
-    from spinphase.fourier import _diag_sum_plan
-
-    plan = _diag_sum_plan(7)
-    assert _diag_sum_plan(7) is plan
-    assert _diag_sum_plan(8) is not plan
-    assert not plan.flags.writeable
-    with pytest.raises(ValueError):
-        plan[0] = 0
-
 
 
 @pytest.mark.parametrize("d", [12, 65])
@@ -395,8 +398,6 @@ def test_sphere_integral_equals_weighted_trace(d, s):
 # coefficient counts.
 
 def _reference_row(rho, k):
-    from spinphase.fourier import _diag_sum_plan
-
     h = rho * k.T
     d = h.shape[0]
     if d <= 256:

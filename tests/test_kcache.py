@@ -195,17 +195,9 @@ def test_cache_bytes_are_reproducible(tmp_path):
             == (b.directory / "companion.bin").read_bytes())
 
 
-def test_parallel_precompute_matches_serial(tmp_path):
-    dim = SpinDimension.from_d(9)
-    serial = precompute_cache(dim, 0.0, tmp_path / "serial", workers=1)
-    threaded = precompute_cache(dim, 0.0, tmp_path / "threaded", workers=4)
-    for ell in range(-dim.two_j, dim.two_j + 1):
-        assert np.array_equal(serial.read_k(ell), threaded.read_k(ell))
-
-
-def test_parallel_precompute_holds_few_records(tmp_path, monkeypatch):
-    # A slow disk must not let finished records pile up in memory: each
-    # worker builds and writes one record at a time.
+def test_precompute_holds_few_records(tmp_path, monkeypatch):
+    # A slow disk must not let finished records pile up in memory: the
+    # loop builds one K product and writes its +-ell records before the next.
     write = kcache._write_record
 
     def slow_write(*args):
@@ -218,7 +210,7 @@ def test_parallel_precompute_holds_few_records(tmp_path, monkeypatch):
     jy_eigenbasis(dim)  # the memoized basis stays out of the peak
     tracemalloc.start()
     try:
-        precompute_cache(dim, 0.0, tmp_path / "c", workers=2)
+        precompute_cache(dim, 0.0, tmp_path / "c")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -242,21 +234,19 @@ def _mtimes(directory, skip=()):
             if p.name not in (*skip, "manifest.json")}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("d", [9, 12])
-def test_negative_records_are_exact_conjugate_transposes(tmp_path, d, workers):
+def test_negative_records_are_exact_conjugate_transposes(tmp_path, d):
     dim = SpinDimension.from_d(d)
-    cache = precompute_cache(dim, 0.0, tmp_path / "c", workers=workers)
+    cache = precompute_cache(dim, 0.0, tmp_path / "c")
     for ell in range(1, dim.two_j + 1):
         mirrored = np.ascontiguousarray(cache.read_k(ell).conj().T)
         assert cache.read_k(-ell).tobytes() == mirrored.tobytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_full_build_makes_one_product_per_pair(tmp_path, monkeypatch, workers):
+def test_full_build_makes_one_product_per_pair(tmp_path, monkeypatch):
     calls = _count_k_products(monkeypatch)
     dim = SpinDimension.from_d(10)
-    precompute_cache(dim, 0.0, tmp_path / "c", workers=workers)
+    precompute_cache(dim, 0.0, tmp_path / "c")
     assert sorted(calls) == list(range(dim.two_j + 1))  # 2J+1 products, not 4J+1
 
 
