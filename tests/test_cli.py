@@ -144,6 +144,16 @@ def test_precompute_has_no_workers_option(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_precompute_rejects_workers_below_one(tmp_path, capsys, workers):
+    # There is no --workers option, so any count, below one included, is refused.
+    with pytest.raises(SystemExit) as exit_info:
+        run("precompute", "--dim", 4, "--workers", workers, "--out", tmp_path / "c")
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: --workers {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("s, message", [("5", "outside [-1, 1]"),
                                         ("nan", "must be a finite real number")])
 def test_precompute_rejects_bad_s_before_making_a_directory(tmp_path, capsys, s, message):
