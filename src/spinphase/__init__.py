@@ -1,11 +1,9 @@
 """Fast spherical phase-space functions of spin-J / qudit states."""
 
-from .angular import (EigenBasis, SpinDimension, am_analytic, build_spin_operator,
-                      eigendecompose, jx_eigenbasis, jy_eigenbasis, projector_am,
-                      rotation_operator, wigner_d)
-from .cgc import (CoefficientTable, TensorOperatorTable, clebsch_gordan,
-                  clebsch_gordan_racah, expansion_coefficients, method_b_eval,
-                  spherical_harmonic, tensor_operator)
+from .angular import (EigenBasis, SpinDimension, build_spin_operator, jx_eigenbasis,
+                      jy_eigenbasis, rotation_operator, wigner_d)
+from .cgc import (CoefficientTable, TensorOperatorTable, expansion_coefficients,
+                  tensor_operator)
 from .fourier import (FourierTable, KMatrix, compute_k, derivative_coefficients,
                       fourier_coefficients_method_c)
 from .kcache import (CacheCorruptError, CacheError, CacheIncompleteError,
@@ -15,8 +13,8 @@ from .parity import (ParityOperator, ParityOverflowError, TransformedParity,
                      build_parity, gamma_j, log_gamma_j, sphere_radius,
                      transform_parity)
 from .sampling import (GridWindow, PhaseSpaceGrid, direct_eval, direct_grid,
-                       eval_series, method_b_grid, minimal_grid_size, sample_fft,
-                       sample_fft_full, window_extract)
+                       method_b_grid, minimal_grid_size, sample_fft, sample_fft_full,
+                       window_extract)
 from .states import (as_density_matrix, coherent, dicke, ghz, maximally_mixed,
                      random_density, squeezed)
 

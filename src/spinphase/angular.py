@@ -17,16 +17,11 @@ __all__ = [
     "SpinDimension",
     "EigenBasis",
     "build_spin_operator",
-    "eigendecompose",
     "jy_eigenbasis",
     "jx_eigenbasis",
-    "projector_am",
-    "am_analytic",
     "wigner_d",
     "rotation_operator",
 ]
-
-HERMITICITY_TOL = 1e-12
 
 
 def as_two(value, name="value"):
@@ -88,14 +83,6 @@ class EigenBasis:
     dim: SpinDimension
     eigenvalues: np.ndarray
     vectors: np.ndarray
-
-    def column(self, nu) -> np.ndarray:
-        """Eigenvector for eigenvalue nu (a half-integer in -J..J)."""
-        two_nu = as_two(nu, "nu")
-        idx = (two_nu + self.dim.two_j) // 2
-        if idx < 0 or idx >= self.dim.d:
-            raise ValueError(f"eigenvalue {nu} out of range for 2J = {self.dim.two_j}")
-        return self.vectors[:, idx]
 
 
 def _ladder_coeffs(dim: SpinDimension) -> np.ndarray:
@@ -176,27 +163,15 @@ def _reversal_split_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues[order], vectors[:, order]
 
 
-def _tridiagonal_eigh(main: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a real symmetric tridiagonal matrix.
-
-    J_x and J_y (after the phase similarity) have a zero diagonal and a
-    palindromic off-diagonal and take the reversal split; any other matrix,
-    such as a diagonal J_z or a rotated n.J, is solved densely.
-    """
-    if not main.any() and np.array_equal(off, off[::-1]):
-        return _reversal_split_eigh(off)
-    return np.linalg.eigh(_symmetric_tridiagonal(main, off))
-
-
-def _basis_from_tridiagonal(dim: SpinDimension, main: np.ndarray, off: np.ndarray,
+def _basis_from_tridiagonal(dim: SpinDimension, w: np.ndarray, v: np.ndarray,
                             phases: np.ndarray) -> EigenBasis:
-    """Eigenbasis of diag(phases) T diag(phases)^* for the real tridiagonal T = (main, off).
+    """Eigenbasis of diag(phases) T diag(phases)^* from the eigenpairs (w, v) of a real T.
 
-    ``phases`` have unit modulus.  Each eigenvector is gauge-fixed so its
-    largest-magnitude entry is real positive.
+    ``w`` ascends and column k of ``v`` is its eigenvector; ``phases`` have
+    unit modulus.  Each eigenvector is gauge-fixed so its largest-magnitude
+    entry is real positive.
     """
     d = dim.d
-    w, v = _tridiagonal_eigh(main, off)
     expected = -dim.j + np.arange(d)
     if np.abs(w - expected).max() > 1e-9 * max(1.0, dim.j):
         raise ValueError("spectrum is not the arithmetic sequence -J..J")
@@ -214,45 +189,14 @@ def _basis_from_tridiagonal(dim: SpinDimension, main: np.ndarray, off: np.ndarra
     return EigenBasis(dim=dim, eigenvalues=eigenvalues, vectors=vectors)
 
 
-def eigendecompose(op: np.ndarray) -> EigenBasis:
-    """Diagonalize a Hermitian tridiagonal spin component (J_x, J_y, J_z, n.J).
-
-    A diagonal phase similarity maps the matrix to a real symmetric
-    tridiagonal one, which is diagonalized with NumPy; the phases are then
-    restored on the eigenvectors.  Each eigenvector is gauge-fixed so its
-    largest-magnitude entry is real positive.
-    """
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {op.shape}")
-    d = op.shape[0]
-    dim = SpinDimension.from_d(d)
-    scale = max(1.0, float(np.abs(op).max()))
-    if np.abs(op - op.conj().T).max() > HERMITICITY_TOL * scale:
-        raise ValueError("operator is not Hermitian to tolerance")
-    band_mask = np.abs(np.arange(d)[:, None] - np.arange(d)[None, :]) > 1
-    if d > 2 and np.abs(op[band_mask]).max() > 1e-14 * scale:
-        raise ValueError("operator is not tridiagonal")
-
-    main = op.diagonal().real.copy()
-    off = np.diag(op, -1).copy()
-    # Rotate each sub-diagonal entry onto the positive real axis.
-    phases = np.ones(d, dtype=complex)
-    for k, e in enumerate(off):
-        if abs(e) == 0.0:
-            phases[k + 1] = phases[k]
-        else:
-            phases[k + 1] = phases[k] * e / abs(e)
-    return _basis_from_tridiagonal(dim, main, np.abs(off), phases)
-
-
 @lru_cache(maxsize=64)
 def _cached_basis(two_j: int, axis: str) -> EigenBasis:
     """J_x or J_y basis built straight from the ladder coefficients.
 
-    The operator is known to be Hermitian and tridiagonal, so the checks
-    of ``eigendecompose`` are skipped; the phases are those its similarity
-    computes: +1 on every sub-diagonal step for J_x, +i for J_y.
+    A diagonal phase similarity, +1 on every sub-diagonal step for J_x and
+    +i for J_y, maps the operator to the real zero-diagonal tridiagonal
+    matrix with the palindromic off-diagonal c/2, which takes the reversal
+    split.
     """
     dim = SpinDimension(two_j)
     if axis == "x":
@@ -261,7 +205,8 @@ def _cached_basis(two_j: int, axis: str) -> EigenBasis:
         phases = np.array([1, 1j, -1, -1j])[np.arange(dim.d) % 4]
     else:
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return _basis_from_tridiagonal(dim, np.zeros(dim.d), _ladder_coeffs(dim) / 2.0, phases)
+    w, v = _reversal_split_eigh(_ladder_coeffs(dim) / 2.0)
+    return _basis_from_tridiagonal(dim, w, v, phases)
 
 
 def jy_eigenbasis(dim: SpinDimension) -> EigenBasis:
@@ -272,69 +217,6 @@ def jy_eigenbasis(dim: SpinDimension) -> EigenBasis:
 def jx_eigenbasis(dim: SpinDimension) -> EigenBasis:
     """Shared, memoized eigenbasis of J_x."""
     return _cached_basis(dim.two_j, "x")
-
-
-def projector_am(basis: EigenBasis, m) -> np.ndarray:
-    """Rank-1 projector |U_m><U_m| onto the eigenvector with eigenvalue m."""
-    col = basis.column(m)
-    return np.outer(col, col.conj())
-
-
-def am_analytic(dim: SpinDimension, m, m1, m2) -> complex:
-    """Closed-form eigenvector-projector entry [A_m]_{m1 m2}.
-
-    Evaluates the factorial double sum with log-domain factorials.  The
-    alternating sums cancel catastrophically at large J, so this is a
-    cross-check for d <= 32 only; the eigendecomposition route is the
-    production path.
-    """
-    if dim.d > 32:
-        raise ValueError("am_analytic is a cross-check, restricted to d <= 32")
-    two_m = as_two(m, "m")
-    two_m1 = as_two(m1, "m1")
-    two_m2 = as_two(m2, "m2")
-    for name, t in (("m", two_m), ("m1", two_m1), ("m2", two_m2)):
-        if abs(t) > dim.two_j or (t - dim.two_j) % 2 != 0:
-            raise ValueError(f"{name} out of range for 2J = {dim.two_j}")
-
-    def lf(two_n):  # log((two_n/2)!) for even two_n
-        return math.lgamma(two_n // 2 + 1)
-
-    two_j2 = dim.two_j
-    # (-1)^x for quarter-turn powers: i^(-2x) over doubled integers.
-    total = 0.0 + 0.0j
-    k_lo = max(0, (two_m2 - two_m1) // 2)
-    k_hi = min((two_j2 - two_m1) // 2, (two_j2 + two_m2) // 2)
-    log_w_num = 0.5 * (lf(two_j2 + two_m1) + lf(two_j2 - two_m1)
-                       + lf(two_j2 + two_m2) + lf(two_j2 - two_m2))
-    for k in range(k_lo, k_hi + 1):
-        lam = 2 * k + (two_m1 - two_m2) // 2
-        log_w = log_w_num - (lf(two_j2 - two_m1 - 2 * k) + lf(two_j2 + two_m2 - 2 * k)
-                             + lf(2 * k + two_m1 - two_m2) + lf(2 * k))
-        sign_w = -1.0 if (k + (two_m1 - two_m2) // 2) % 2 else 1.0
-        total += sign_w * math.exp(log_w) * _i_sum(two_j2, two_m, lam)
-    return complex(total)
-
-
-def _i_sum(two_j, two_m, lam: int) -> complex:
-    """Inner binomial sum of the closed-form projector entry (complex branch)."""
-    lo = max(0, (-two_j + two_m) // 2 + lam)
-    hi = min(lam, (two_j + two_m) // 2)
-    # exp(i*pi*(l - lam/2)) = (-1)^l * (-i)^lam
-    quarter = ((1 + 0j), (0 - 1j), (-1 + 0j), (0 + 1j))[lam % 4]
-    acc = 0.0
-    for el in range(lo, hi + 1):
-        log_b1 = _log_binom(two_j - lam, (two_j + two_m) // 2 - el)
-        log_b2 = _log_binom(lam, el)
-        term = math.exp(log_b1 + log_b2 - two_j * math.log(2.0))
-        acc += -term if el % 2 else term
-    return acc * quarter
-
-
-def _log_binom(n: int, k: int) -> float:
-    if k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def wigner_d(dim: SpinDimension, theta: float) -> np.ndarray:

@@ -1,11 +1,8 @@
 """Angular-momentum coupling, tensor operators, and spherical harmonics.
 
-Two Clebsch-Gordan paths live here.  The production path runs a
-three-term recursion in the total angular momentum, swept from both ends
-of the admissible range and renormalized, which stays stable for large
-spins.  The Racah single-sum closed form (log-domain factorials) is kept
-as an exact small-spin reference; its alternating sum cancels badly for
-large arguments and is never used in production.
+Clebsch-Gordan coefficients come from one three-term recursion in the
+total angular momentum, swept from both ends of the admissible range and
+renormalized, which stays stable for large spins.
 
 Every irreducible tensor operator T_jm, here and in ``parity``, is read from
 ``tensor_bands``: the only code that writes the T_jm sign and band layout.
@@ -22,19 +19,15 @@ from .angular import SpinDimension, as_two
 from .states import as_density_matrix
 
 __all__ = [
-    "clebsch_gordan",
-    "clebsch_gordan_racah",
     "tensor_operator",
     "tensor_bands",
     "tensor_band",
     "TensorOperatorTable",
     "CoefficientTable",
     "expansion_coefficients",
-    "spherical_harmonic",
     "harmonic_theta_profile",
     "harmonic_grid",
     "harmonic_theta_sums",
-    "method_b_eval",
 ]
 
 _RESCALE_LIMIT = 1e250
@@ -43,19 +36,6 @@ _RESCALE_LIMIT = 1e250
 # ---------------------------------------------------------------------------
 # Clebsch-Gordan coefficients
 # ---------------------------------------------------------------------------
-
-def _validate_query(two_j1, two_m1, two_j2, two_m2, two_j, two_m):
-    for two_jj, two_mm, name in ((two_j1, two_m1, "1"), (two_j2, two_m2, "2"),
-                                 (two_j, two_m, "")):
-        if two_jj < 0:
-            raise ValueError(f"j{name} must be nonnegative")
-        if abs(two_mm) > two_jj:
-            raise ValueError(f"|m{name}| exceeds j{name}")
-        if (two_jj - two_mm) % 2 != 0:
-            raise ValueError(f"j{name} and m{name} mix integer and half-integer")
-    if (two_j1 + two_j2 + two_j) % 2 != 0:
-        raise ValueError("j1, j2, j do not couple: integer/half-integer mismatch")
-
 
 def cg_families(two_j1: int, two_j2: int, two_m1, two_m2):
     """<j1 m1; j2 m2 | j, m1+m2> for every admissible total j at once.
@@ -136,62 +116,6 @@ def _sweep(t, dvec, m1):
         if np.any(big):
             out[: r + 2, big] *= 1.0 / np.abs(out[r + 1][big])
     return out
-
-
-def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
-    """Coupling coefficient <j1 m1; j2 m2 | j m> (Condon-Shortley).
-
-    Exactly zero when the projection or triangle selection rules fail;
-    inconsistent integer/half-integer inputs raise.
-    """
-    two = (as_two(j1, "j1"), as_two(m1, "m1"), as_two(j2, "j2"),
-           as_two(m2, "m2"), as_two(j, "j"), as_two(m, "m"))
-    two_j1, two_m1, two_j2, two_m2, two_j, two_m = two
-    _validate_query(two_j1, two_m1, two_j2, two_m2, two_j, two_m)
-    if two_m1 + two_m2 != two_m:
-        return 0.0
-    if two_j < abs(two_j1 - two_j2) or two_j > two_j1 + two_j2:
-        return 0.0
-    two_grid, coeffs = cg_families(two_j1, two_j2, two_m1, two_m2)
-    if two_j < two_grid[0]:
-        return 0.0
-    row = (two_j - two_grid[0]) // 2
-    return float(coeffs[row, 0])
-
-
-def clebsch_gordan_racah(j1, m1, j2, m2, j, m) -> float:
-    """Closed-form coupling coefficient; exact reference for small spins."""
-    two_j1, two_m1 = as_two(j1, "j1"), as_two(m1, "m1")
-    two_j2, two_m2 = as_two(j2, "j2"), as_two(m2, "m2")
-    two_j, two_m = as_two(j, "j"), as_two(m, "m")
-    _validate_query(two_j1, two_m1, two_j2, two_m2, two_j, two_m)
-    if two_m1 + two_m2 != two_m:
-        return 0.0
-    if two_j < abs(two_j1 - two_j2) or two_j > two_j1 + two_j2:
-        return 0.0
-
-    def lf(two_n):
-        if two_n < 0 or two_n % 2:
-            raise ValueError("factorial of a negative or non-integer argument")
-        return math.lgamma(two_n // 2 + 1)
-
-    log_delta = 0.5 * (lf(two_j1 + two_j2 - two_j) + lf(two_j1 - two_j2 + two_j)
-                       + lf(-two_j1 + two_j2 + two_j) - lf(two_j1 + two_j2 + two_j + 2))
-    log_pref = 0.5 * (math.log(two_j + 1.0) + lf(two_j + two_m) + lf(two_j - two_m)
-                      + lf(two_j1 + two_m1) + lf(two_j1 - two_m1)
-                      + lf(two_j2 + two_m2) + lf(two_j2 - two_m2))
-    k_lo = max(0, (two_j2 - two_j - two_m1) // 2, (two_j1 + two_m2 - two_j) // 2)
-    k_hi = min((two_j1 + two_j2 - two_j) // 2, (two_j1 - two_m1) // 2,
-               (two_j2 + two_m2) // 2)
-    acc = 0.0
-    for k in range(k_lo, k_hi + 1):
-        log_term = -(lf(2 * k) + lf(two_j1 + two_j2 - two_j - 2 * k)
-                     + lf(two_j1 - two_m1 - 2 * k) + lf(two_j2 + two_m2 - 2 * k)
-                     + lf(two_j - two_j2 + two_m1 + 2 * k)
-                     + lf(two_j - two_j1 - two_m2 + 2 * k))
-        term = math.exp(log_delta + log_pref + log_term)
-        acc += -term if k % 2 else term
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +270,6 @@ def harmonic_theta_profile(j: int, m: int, thetas) -> np.ndarray:
     raise AssertionError("unreachable")
 
 
-def spherical_harmonic(j: int, m: int, theta: float, phi: float) -> complex:
-    """Y_jm(theta, phi) with the Condon-Shortley phase."""
-    prof = harmonic_theta_profile(j, m, theta)[0]
-    return complex(prof * np.exp(1j * m * phi))
-
-
 def harmonic_grid(j: int, m: int, thetas, phis) -> np.ndarray:
     """Y_jm sampled on the Cartesian product of theta and phi arrays."""
     prof = harmonic_theta_profile(j, m, thetas)
@@ -378,26 +296,3 @@ def harmonic_theta_sums(weights: np.ndarray, thetas: np.ndarray) -> np.ndarray:
             if m > 0:
                 out[:, j_max - m] += weights[j, j_max - m] * (neg_sign * prof)
     return out
-
-
-def method_b_eval(rho: np.ndarray, s: float, theta: float, phi: float) -> complex:
-    """Phase-space value at one angle from the tensor-operator expansion.
-
-    This is the traditional baseline: expand rho into c_jm, then sum
-    (gamma_j)^(-s) c_jm Y_jm(theta, phi) / R term by term.
-    """
-    from .parity import gamma_power, sphere_radius, validate_s
-
-    dim = SpinDimension.from_d(np.shape(rho)[0])
-    rho = as_density_matrix(rho, dim)
-    gamma_pow = gamma_power(dim, validate_s(s))
-    coeffs = expansion_coefficients(rho)
-    total = 0.0 + 0.0j
-    for j in range(dim.two_j + 1):
-        row = coeffs.rows[j]
-        for m in range(-j, j + 1):
-            c = row[m + j]
-            if c == 0:
-                continue
-            total += gamma_pow[j] * c * spherical_harmonic(j, m, theta, phi)
-    return complex(total / sphere_radius(dim))

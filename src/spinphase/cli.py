@@ -57,12 +57,6 @@ def _resolve_s(args) -> float:
     return 0.0 if args.s is None else args.s
 
 
-def _resolve_dim(d: int) -> SpinDimension:
-    if d < 2:
-        raise CliError(f"--dim must be at least 2 (J >= 1/2), got {d}")
-    return SpinDimension.from_d(d)
-
-
 def _given_root(args):
     """The cache root from --cache or the environment, or None."""
     return args.cache or os.environ.get(ENV_CACHE)
@@ -172,7 +166,7 @@ def _emit_grid(args, grid: PhaseSpaceGrid, description: str, out=None) -> None:
 
 
 def cmd_precompute(args) -> int:
-    dim = _resolve_dim(args.dim)
+    dim = SpinDimension.from_d(args.dim)
     s = _resolve_s(args)
     directory = (Path(args.out) if args.out
                  else cache_directory(_cache_root(_given_root(args)), dim.d, s))
@@ -186,7 +180,7 @@ def cmd_precompute(args) -> int:
 
 def cmd_compute(args) -> int:
     _check_output(args)
-    dim = _resolve_dim(args.dim)
+    dim = SpinDimension.from_d(args.dim)
     s = _resolve_s(args)
     rho, description = _build_state(args, dim)
     n = args.n if args.n is not None else default_grid_size(dim)
@@ -203,7 +197,7 @@ def cmd_compute(args) -> int:
 
 def cmd_deriv(args) -> int:
     _check_output(args)
-    dim = _resolve_dim(args.dim)
+    dim = SpinDimension.from_d(args.dim)
     s = _resolve_s(args)
     rho, description = _build_state(args, dim)
     n = args.n if args.n is not None else default_grid_size(dim)

@@ -17,7 +17,8 @@ import numpy as np
 
 from ._checksum import crc32
 from .angular import SpinDimension
-from .sampling import GridWindow, PhaseSpaceGrid
+from .parity import validate_s
+from .sampling import GridWindow, PhaseSpaceGrid, _check_grid_size
 
 __all__ = [
     "GridFileError",
@@ -99,12 +100,21 @@ def write_grid(path, grid: PhaseSpaceGrid, description: str = "") -> None:
 
 
 def read_grid(path):
-    """Returns (PhaseSpaceGrid, description)."""
+    """Returns (PhaseSpaceGrid, description).
+
+    A header no grid can have (d < 2, n odd or below 2d, s not finite or
+    outside [-1, 1]) is a GridFileError: the CRC covers only the payload.
+    """
     d, s, n, method, desc, values = _unpack(Path(path).read_bytes())
     if method == "matrix":
         raise GridFileError("file holds a matrix, not a sampled grid")
-    grid = PhaseSpaceGrid(dim=SpinDimension.from_d(d), s=s, n=n,
-                          values=values, method=method)
+    try:
+        dim = SpinDimension.from_d(d)
+        _check_grid_size(dim, n)
+        validate_s(s)
+    except ValueError as exc:
+        raise GridFileError(f"impossible grid header: {exc}") from None
+    grid = PhaseSpaceGrid(dim=dim, s=s, n=n, values=values, method=method)
     return grid, desc
 
 

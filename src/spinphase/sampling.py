@@ -1,4 +1,4 @@
-"""Equiangular sampling of phase-space functions and slow pointwise oracles.
+"""Equiangular sampling of phase-space functions and the direct and method-b oracles.
 
 The grid convention is theta_k = pi k / n, phi_l = 2 pi l / n for
 k, l = 0..n-1.  A band-limited spin-J function is fully determined by any
@@ -26,7 +26,6 @@ __all__ = [
     "default_grid_size",
     "sample_fft",
     "sample_fft_full",
-    "eval_series",
     "direct_eval",
     "direct_grid",
     "method_b_grid",
@@ -151,14 +150,6 @@ def sample_fft(table: FourierTable, n: int, method: str = "c") -> PhaseSpaceGrid
                           values=_synthesize(table, n, int(n)), method=method)
 
 
-def eval_series(table: FourierTable, theta: float, phi: float) -> complex:
-    """Direct double sum of the Fourier series at one arbitrary angle pair."""
-    freqs = table.frequencies()
-    e_theta = np.exp(1j * theta * freqs)
-    e_phi = np.exp(1j * phi * freqs)
-    return complex(e_theta @ table.coeffs @ e_phi)
-
-
 def direct_eval(rho: np.ndarray, parity: ParityOperator, theta: float, phi: float) -> complex:
     """Ground-truth oracle: Tr[rho R(theta, phi) M_s R^dagger(theta, phi)].
 
@@ -196,8 +187,9 @@ def method_b_grid(rho: np.ndarray, s: float, n: int,
                   coeffs: CoefficientTable | None = None) -> PhaseSpaceGrid:
     """Tensor-operator baseline evaluated pointwise on the grid.
 
-    Same expansion as method_b_eval, vectorized over the grid; no FFT is
-    involved, so this cross-checks the Fourier pipeline end to end.
+    Expands rho into c_jm, then sums (gamma_j)^(-s) c_jm Y_jm / R at every
+    node; no FFT is involved, so this cross-checks the Fourier pipeline end
+    to end.
     """
     dim = SpinDimension.from_d(np.shape(rho)[0])
     rho = as_density_matrix(rho, dim)

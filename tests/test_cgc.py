@@ -5,12 +5,12 @@ import pytest
 from scipy.special import sph_harm_y
 
 from spinphase.angular import SpinDimension
-from spinphase.cgc import (TensorOperatorTable, cg_families, clebsch_gordan,
-                           clebsch_gordan_racah, expansion_coefficients,
-                           harmonic_grid, harmonic_theta_profile, method_b_eval,
-                           spherical_harmonic, tensor_band, tensor_bands,
-                           tensor_operator)
+from spinphase.cgc import (TensorOperatorTable, cg_families, expansion_coefficients,
+                           harmonic_grid, harmonic_theta_profile, tensor_band,
+                           tensor_bands, tensor_operator)
 from spinphase.states import maximally_mixed, random_density
+
+from reference import clebsch_gordan, clebsch_gordan_racah, method_b_eval, spherical_harmonic
 
 
 def test_selection_rule_zero():

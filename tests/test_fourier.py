@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from spinphase import fourier
-from spinphase.angular import (EigenBasis, SpinDimension, build_spin_operator,
-                               jy_eigenbasis, projector_am)
+from spinphase.angular import EigenBasis, SpinDimension, jy_eigenbasis
 from spinphase.fourier import (FourierTable, compute_k, derivative_coefficients,
                                fourier_coefficients_method_c)
 from spinphase.kcache import KCache, fourier_coefficients_method_d, precompute_cache
@@ -14,6 +13,8 @@ from spinphase.parity import build_parity, transform_parity
 from spinphase.sampling import direct_eval, direct_grid, grid_phis, grid_thetas, \
     method_b_grid, minimal_grid_size, sample_fft
 from spinphase.states import coherent, dicke, ghz, maximally_mixed, random_density, squeezed
+
+from reference import column, projector_am
 
 
 def _table(d, s, seed=None, rho=None):
@@ -30,8 +31,8 @@ def test_k_band_edge_is_rank_one():
     mtilde = transform_parity(build_parity(dim, 0.0), basis)
     two_j = dim.two_j
     k = compute_k(basis, mtilde, two_j)
-    lo = basis.column(-dim.j)
-    hi = basis.column(dim.j)
+    lo = column(basis, -dim.j)
+    hi = column(basis, dim.j)
     expected = mtilde.matrix[0, -1] * np.outer(lo, hi.conj())
     assert np.abs(k.matrix - expected).max() < 1e-13
     assert np.linalg.matrix_rank(k.matrix, tol=1e-10) == 1

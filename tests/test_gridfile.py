@@ -162,6 +162,19 @@ def test_description_that_is_not_utf8_is_a_grid_file_error(grid, tmp_path):
         read_grid(path)
 
 
+@pytest.mark.parametrize("d, s", [(1, 0.0), (0, 0.0), (4, 0.0), (3, np.nan), (3, 5.0)])
+def test_impossible_header_is_a_grid_file_error(tmp_path, d, s):
+    # A d = 3, n = 6 grid whose header is rewritten under an intact payload CRC;
+    # d = 4 needs n >= 8.
+    values = np.arange(36, dtype=complex).reshape(6, 6)
+    path = tmp_path / "g.bin"
+    path.write_bytes(_reference_container(3, 0.0, 6, 0x43, "", values))
+    assert np.array_equal(read_grid(path)[0].values, values)
+    path.write_bytes(_reference_container(d, s, 6, 0x43, "", values))
+    with pytest.raises(GridFileError, match="impossible grid header"):
+        read_grid(path)
+
+
 @pytest.mark.parametrize("index", ["-1,0", "0,-1", "1.7,0", "0,0.5", "nan,0", "0,inf"])
 def test_matrix_csv_rejects_bad_indices(tmp_path, index):
     path = tmp_path / "m.csv"

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from spinphase.angular import SpinDimension, jy_eigenbasis, rotation_operator
-from spinphase.cgc import clebsch_gordan_racah, spherical_harmonic, tensor_operator
+from spinphase.cgc import tensor_operator
 from spinphase.parity import (ParityOperator, ParityOverflowError, build_parity,
                               gamma_j, log_gamma_j, sphere_radius, transform_parity)
+
+from reference import clebsch_gordan_racah, spherical_harmonic
 
 SQRT2 = math.sqrt(2.0)
 

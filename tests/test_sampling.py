@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from spinphase.angular import SpinDimension
-from spinphase.cgc import method_b_eval
 from spinphase.fourier import FourierTable, fourier_coefficients_method_c
 from spinphase.parity import build_parity, sphere_radius
-from spinphase.sampling import (direct_eval, direct_grid, eval_series, grid_phis,
-                                grid_thetas, method_b_grid, minimal_grid_size,
-                                sample_fft, sample_fft_full, window_extract)
+from spinphase.sampling import (direct_eval, direct_grid, grid_phis, grid_thetas,
+                                method_b_grid, minimal_grid_size, sample_fft,
+                                sample_fft_full, window_extract)
 from spinphase.states import dicke, maximally_mixed, random_density
+
+from reference import eval_series, method_b_eval
 
 SQRT2 = math.sqrt(2.0)
 
@@ -278,7 +279,7 @@ def test_method_b_overflow_is_raised_before_the_expansion(monkeypatch):
         raise AssertionError("tensor expansion ran before the overflow check")
 
     monkeypatch.setattr("spinphase.sampling.expansion_coefficients", expansion_must_not_run)
-    monkeypatch.setattr("spinphase.cgc.expansion_coefficients", expansion_must_not_run)
+    monkeypatch.setattr("reference.expansion_coefficients", expansion_must_not_run)
     d = 1100
     rho = np.eye(d, dtype=complex) / d
     with pytest.raises(ParityOverflowError, match=f"d = {d}, s = 1.0"):

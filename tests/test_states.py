@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from spinphase.angular import SpinDimension, build_spin_operator
-from spinphase.cgc import expansion_coefficients, method_b_eval
+from spinphase.cgc import expansion_coefficients
 from spinphase.fourier import fourier_coefficients_method_c
 from spinphase.kcache import fourier_coefficients_method_d, precompute_cache
 from spinphase.parity import build_parity
@@ -11,6 +11,8 @@ from spinphase.sampling import (direct_eval, direct_grid, method_b_grid, minimal
                                 sample_fft)
 from spinphase.states import (as_density_matrix, coherent, dicke, ghz, maximally_mixed,
                               random_density, squeezed)
+
+from reference import method_b_eval
 
 
 def _assert_density(rho):
