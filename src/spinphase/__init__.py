@@ -4,14 +4,13 @@ from .angular import (EigenBasis, SpinDimension, build_spin_operator, jx_eigenba
                       jy_eigenbasis, rotation_operator, wigner_d)
 from .cgc import (CoefficientTable, TensorOperatorTable, expansion_coefficients,
                   tensor_operator)
-from .fourier import (FourierTable, KMatrix, compute_k, derivative_coefficients,
+from .fourier import (FourierTable, compute_k, derivative_coefficients,
                       fourier_coefficients_method_c)
 from .kcache import (CacheCorruptError, CacheError, CacheIncompleteError,
                      CacheMismatchError, KCache, fourier_coefficients_method_d,
                      open_cache, precompute_cache)
-from .parity import (ParityOperator, ParityOverflowError, TransformedParity,
-                     build_parity, gamma_j, log_gamma_j, sphere_radius,
-                     transform_parity)
+from .parity import (ParityOperator, ParityOverflowError, build_parity, gamma_j,
+                     log_gamma_j, sphere_radius, transform_parity)
 from .sampling import (GridWindow, PhaseSpaceGrid, direct_eval, direct_grid,
                        method_b_grid, minimal_grid_size, sample_fft, sample_fft_full,
                        window_extract)

@@ -28,6 +28,8 @@ from .states import random_density
 
 __all__ = ["BenchRow", "BenchReport", "run_bench"]
 
+SEED = 2047  # the random state every row is timed on
+
 
 @dataclass
 class BenchRow:
@@ -74,8 +76,7 @@ def _peak_mb(func) -> float:
 
 
 def run_bench(dims, methods=None, repetitions: int = 3, s: float = 0.0,
-              cache_root=None, seed: int = 2047,
-              measure_memory: bool = True) -> BenchReport:
+              cache_root=None, measure_memory: bool = True) -> BenchReport:
     """Time the coefficient computation for every (method, d) pair.
 
     ``methods`` names the cold method-b baseline ``b`` or any table route of
@@ -94,7 +95,7 @@ def run_bench(dims, methods=None, repetitions: int = 3, s: float = 0.0,
     report = BenchReport(thread_pin=os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
     for d in dims:
         dim = SpinDimension.from_d(d)
-        rho = random_density(dim, seed)
+        rho = random_density(dim, SEED)
         jy_eigenbasis(dim)  # built here so no timed call pays for it
         n = default_grid_size(dim)
         table = fourier_coefficients_method_c(rho, build_parity(dim, s))

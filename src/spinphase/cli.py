@@ -170,7 +170,7 @@ def cmd_precompute(args) -> int:
     s = _resolve_s(args)
     directory = (Path(args.out) if args.out
                  else cache_directory(_cache_root(_given_root(args)), dim.d, s))
-    cache = precompute_cache(dim, s, directory, force=args.force)
+    cache = precompute_cache(dim, s, directory)
     k_bytes = cache.k_payload_bytes()
     print(f"{cache.last_action} cache in {cache.directory}")
     print(f"K-record payload: {k_bytes} bytes ({k_bytes / 1e3:.1f} kB)")
@@ -220,7 +220,7 @@ def cmd_bench(args) -> int:
     dims = [int(tok) for tok in args.dims.split(",") if tok]
     methods = [tok.strip() for tok in args.methods.split(",") if tok]
     report = run_bench(dims, methods, repetitions=args.reps, s=_resolve_s(args),
-                       cache_root=_given_root(args), seed=args.seed)
+                       cache_root=_given_root(args))
     if args.out:
         with open(args.out, "w") as fh:
             report.to_csv(fh)
@@ -241,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_s_arguments(pre)
     pre.add_argument("--out", help="exact cache directory (default: under cache root)")
     pre.add_argument("--cache", help="cache root directory")
-    pre.add_argument("--force", action="store_true", help="rewrite even if verified")
     pre.set_defaults(func=cmd_precompute)
 
     helps = {"compute": "sample a phase-space function onto a grid",
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--reps", type=int, default=3)
     _add_s_arguments(ben)
     ben.add_argument("--cache", help="cache root (for method d rows)")
-    ben.add_argument("--seed", type=int, default=2047)
     ben.add_argument("--out", help="write the CSV report here instead of stdout")
     ben.set_defaults(func=cmd_bench)
     return parser

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import EigenBasis, SpinDimension, jy_eigenbasis
-from .parity import ParityOperator, TransformedParity, transform_parity
+from .parity import ParityOperator, transform_parity
 from .states import as_density_matrix
 
 __all__ = [
-    "KMatrix",
     "FourierTable",
     "compute_k",
     "fourier_coefficients_method_c",
@@ -41,16 +40,6 @@ _PAIRWISE_THRESHOLD = 256
 # so a rho with fewer than d^2 / _ENTRIES_PER_CALL nonzero diagonals has its
 # products formed one diagonal per call instead of in one d x d call.
 _ENTRIES_PER_CALL = 1024
-
-
-@dataclass(frozen=True)
-class KMatrix:
-    """One transformation matrix K_ell (zero outside the band |ell| <= 2J)."""
-
-    dim: SpinDimension
-    s: float
-    ell: int
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,16 +79,16 @@ def _k_matrix(u: np.ndarray, mtilde: np.ndarray, ell: int) -> np.ndarray:
     return (left * w) @ right.conj().T
 
 
-def compute_k(basis: EigenBasis, mtilde: TransformedParity, ell: int) -> KMatrix:
-    """Transformation matrix for theta frequency ell.
+def compute_k(basis: EigenBasis, mtilde: np.ndarray, ell: int) -> np.ndarray:
+    """Read-only K_ell for theta frequency ell, from ``transform_parity``'s ``mtilde``.
 
     |ell| > 2J yields the zero matrix (empty sum), not an error.
     """
-    if basis.dim != mtilde.dim:
+    if mtilde.shape != basis.vectors.shape:
         raise ValueError("basis and transformed parity dimensions differ")
-    matrix = _k_matrix(basis.vectors, mtilde.matrix, int(ell))
+    matrix = _k_matrix(basis.vectors, mtilde, int(ell))
     matrix.setflags(write=False)
-    return KMatrix(dim=basis.dim, s=mtilde.s, ell=int(ell), matrix=matrix)
+    return matrix
 
 
 def _skew_cells(skew: np.ndarray) -> np.ndarray:
@@ -296,7 +285,7 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     dim = parity.dim
     rho = as_density_matrix(rho, dim)
     basis = jy_eigenbasis(dim)
-    mtilde = transform_parity(parity, basis).matrix
+    mtilde = transform_parity(parity, basis)
     u = basis.vectors
     return _fill_table(rho, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell))
 

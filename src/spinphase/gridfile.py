@@ -95,26 +95,32 @@ def _unpack(raw: bytes):
     return d, s, n, method, desc, values.reshape(rows, n)
 
 
-def write_grid(path, grid: PhaseSpaceGrid, description: str = "") -> None:
-    _write(path, grid.dim.d, grid.s, grid.n, grid.method, description, grid.values)
-
-
-def read_grid(path):
-    """Returns (PhaseSpaceGrid, description).
-
-    A header no grid can have (d < 2, n odd or below 2d, s not finite or
-    outside [-1, 1]) is a GridFileError: the CRC covers only the payload.
-    """
-    d, s, n, method, desc, values = _unpack(Path(path).read_bytes())
-    if method == "matrix":
-        raise GridFileError("file holds a matrix, not a sampled grid")
+def _grid_dim(d: int, s: float, n: int) -> SpinDimension:
+    """The header's SpinDimension; GridFileError if d < 2, n odd or < 2d, or s not in [-1, 1]."""
     try:
         dim = SpinDimension.from_d(d)
         _check_grid_size(dim, n)
         validate_s(s)
     except ValueError as exc:
         raise GridFileError(f"impossible grid header: {exc}") from None
-    grid = PhaseSpaceGrid(dim=dim, s=s, n=n, values=values, method=method)
+    return dim
+
+
+def write_grid(path, grid: PhaseSpaceGrid, description: str = "") -> None:
+    """A grid whose header ``read_grid`` would refuse is refused before the file opens."""
+    _grid_dim(grid.dim.d, grid.s, grid.n)
+    _write(path, grid.dim.d, grid.s, grid.n, grid.method, description, grid.values)
+
+
+def read_grid(path):
+    """Returns (PhaseSpaceGrid, description).
+
+    A header no grid can have is a GridFileError: the CRC covers only the payload.
+    """
+    d, s, n, method, desc, values = _unpack(Path(path).read_bytes())
+    if method == "matrix":
+        raise GridFileError("file holds a matrix, not a sampled grid")
+    grid = PhaseSpaceGrid(dim=_grid_dim(d, s, n), s=s, n=n, values=values, method=method)
     return grid, desc
 
 

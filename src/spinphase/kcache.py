@@ -44,6 +44,7 @@ __all__ = [
     "CacheMismatchError",
     "KCache",
     "cache_directory",
+    "open_cache",
     "precompute_cache",
     "fourier_coefficients_method_d",
 ]
@@ -219,8 +220,7 @@ def _companion_payload(basis: EigenBasis, parity: ParityOperator) -> bytes:
     return u_bytes + reals.tobytes()
 
 
-def precompute_cache(dim: SpinDimension, s: float, directory,
-                     force: bool = False) -> KCache:
+def precompute_cache(dim: SpinDimension, s: float, directory) -> KCache:
     """Write (or verify) every K record plus the companion record.
 
     Idempotent: an existing complete cache is checksum-verified and only
@@ -236,26 +236,25 @@ def precompute_cache(dim: SpinDimension, s: float, directory,
 
     stale: set[int] | None = None  # None means rebuild everything
     kept: dict[int, dict] = {}
-    if not force:
-        try:
-            manifest = cache.manifest()
-            stale = set()
-            for rec in manifest["records"]:
-                ell = rec["ell"]
-                try:
-                    _read_record(os.path.join(directory, _record_name(ell)), dim.d, s, ell)
-                    kept[ell] = rec
-                except (CacheCorruptError, CacheIncompleteError, CacheMismatchError):
-                    stale.add(ell)  # the manifest matched: a mismatch is a stray record
-            if not stale:
-                cache.last_action = "verified"
-                return cache
-        except CacheIncompleteError:
-            stale = None
+    try:
+        manifest = cache.manifest()
+        stale = set()
+        for rec in manifest["records"]:
+            ell = rec["ell"]
+            try:
+                _read_record(os.path.join(directory, _record_name(ell)), dim.d, s, ell)
+                kept[ell] = rec
+            except (CacheCorruptError, CacheIncompleteError, CacheMismatchError):
+                stale.add(ell)  # the manifest matched: a mismatch is a stray record
+        if not stale:
+            cache.last_action = "verified"
+            return cache
+    except CacheIncompleteError:
+        stale = None
 
     basis = jy_eigenbasis(dim)
     parity = build_parity(dim, s)
-    mtilde = transform_parity(parity, basis).matrix
+    mtilde = transform_parity(parity, basis)
     u = basis.vectors
 
     # Invalidate before touching records; the manifest is rewritten last, so

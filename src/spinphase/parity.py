@@ -19,7 +19,6 @@ from .cgc import tensor_bands
 __all__ = [
     "ParityOverflowError",
     "ParityOperator",
-    "TransformedParity",
     "sphere_radius",
     "log_gamma_j",
     "gamma_j",
@@ -101,15 +100,6 @@ class ParityOperator:
         return np.diag(self.diag.astype(complex))
 
 
-@dataclass(frozen=True)
-class TransformedParity:
-    """Parity kernel expressed in the J_y eigenbasis: U^dagger M_s U."""
-
-    dim: SpinDimension
-    s: float
-    matrix: np.ndarray
-
-
 def build_parity(dim: SpinDimension, s: float) -> ParityOperator:
     """Assemble M_s = (1/R) sum_j sqrt((2j+1)/4pi) (gamma_j)^(-s) T_j0."""
     s = validate_s(s)
@@ -123,12 +113,12 @@ def build_parity(dim: SpinDimension, s: float) -> ParityOperator:
     return ParityOperator(dim=dim, s=s, diag=diag)
 
 
-def transform_parity(parity: ParityOperator, basis: EigenBasis) -> TransformedParity:
-    """Rotate the diagonal kernel into the eigenbasis of J_y."""
+def transform_parity(parity: ParityOperator, basis: EigenBasis) -> np.ndarray:
+    """Read-only U^dagger M_s U: the diagonal kernel rotated into the eigenbasis of J_y."""
     if basis.dim != parity.dim:
         raise ValueError(f"dimension mismatch: parity d = {parity.dim.d}, "
                          f"basis d = {basis.dim.d}")
     u = basis.vectors
     matrix = (u.conj().T * parity.diag) @ u
     matrix.setflags(write=False)
-    return TransformedParity(dim=parity.dim, s=parity.s, matrix=matrix)
+    return matrix

@@ -154,8 +154,8 @@ def test_criterion_4_symmetry_suite():
                          vectors=basis.vectors * np.exp(1j * rng.uniform(0, 2 * np.pi, dim.d)))
     gauge = 0.0
     for ell in (-dim.two_j, -1, 0, 5, dim.two_j):
-        k_ref = compute_k(basis, transform_parity(parity, basis), ell).matrix
-        k_tw = compute_k(twisted, transform_parity(parity, twisted), ell).matrix
+        k_ref = compute_k(basis, transform_parity(parity, basis), ell)
+        k_tw = compute_k(twisted, transform_parity(parity, twisted), ell)
         gauge = max(gauge, np.abs(k_ref - k_tw).max())
     if gauge >= 1e-13:
         failures.append(f"gauge invariance {gauge:.2e}")

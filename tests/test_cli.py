@@ -144,6 +144,20 @@ def test_precompute_has_no_workers_option(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("argv, removed", [
+    (("precompute", "--dim", 4), "--force"),
+    (("bench", "--dims", 6, "--methods", "c"), "--seed 7"),
+])
+def test_removed_options_are_refused(tmp_path, capsys, argv, removed):
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv, *removed.split(), "--out", tmp_path / "out")
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {removed}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_precompute_rejects_workers_below_one(tmp_path, capsys, workers):
     # There is no --workers option, so any count, below one included, is refused.

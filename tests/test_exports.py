@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import spinphase
@@ -18,3 +19,16 @@ def test_every_all_entry_is_an_attribute_of_its_module():
         assert not missing, f"{name}.__all__ lists missing names {missing}"
         checked += 1
     assert checked >= 8
+
+
+def test_every_package_export_is_in_the_all_of_its_defining_module():
+    # A name removed from its module's __all__ must not linger as a re-export.
+    checked = 0
+    for name, obj in vars(spinphase).items():
+        if name.startswith("_") or inspect.ismodule(obj):
+            continue
+        home = importlib.import_module(obj.__module__)
+        assert name in getattr(home, "__all__", ()), \
+            f"spinphase.{name} is not in {obj.__module__}.__all__"
+        checked += 1
+    assert checked >= 30

@@ -33,17 +33,34 @@ def test_k_band_edge_is_rank_one():
     k = compute_k(basis, mtilde, two_j)
     lo = column(basis, -dim.j)
     hi = column(basis, dim.j)
-    expected = mtilde.matrix[0, -1] * np.outer(lo, hi.conj())
-    assert np.abs(k.matrix - expected).max() < 1e-13
-    assert np.linalg.matrix_rank(k.matrix, tol=1e-10) == 1
+    expected = mtilde[0, -1] * np.outer(lo, hi.conj())
+    assert np.abs(k - expected).max() < 1e-13
+    assert np.linalg.matrix_rank(k, tol=1e-10) == 1
 
 
 def test_k_outside_band_is_zero():
     dim = SpinDimension.from_d(4)
     basis = jy_eigenbasis(dim)
     mtilde = transform_parity(build_parity(dim, 0.0), basis)
-    assert np.abs(compute_k(basis, mtilde, dim.two_j + 1).matrix).max() == 0.0
-    assert np.abs(compute_k(basis, mtilde, -dim.two_j - 3).matrix).max() == 0.0
+    assert np.abs(compute_k(basis, mtilde, dim.two_j + 1)).max() == 0.0
+    assert np.abs(compute_k(basis, mtilde, -dim.two_j - 3)).max() == 0.0
+
+
+def test_k_and_transformed_parity_are_read_only_arrays():
+    dim = SpinDimension.from_d(4)
+    basis = jy_eigenbasis(dim)
+    mtilde = transform_parity(build_parity(dim, 0.0), basis)
+    for matrix in (mtilde, compute_k(basis, mtilde, 1)):
+        assert type(matrix) is np.ndarray and matrix.shape == (4, 4)
+        assert not matrix.flags.writeable
+
+
+def test_k_dimension_mismatch():
+    basis = jy_eigenbasis(SpinDimension.from_d(4))
+    dim = SpinDimension.from_d(5)
+    mtilde = transform_parity(build_parity(dim, 0.0), jy_eigenbasis(dim))
+    with pytest.raises(ValueError, match="dimensions differ"):
+        compute_k(basis, mtilde, 0)
 
 
 @pytest.mark.parametrize("d", [2, 5, 10, 16])
@@ -61,7 +78,7 @@ def test_k_matches_projector_chain(d):
             if abs(nu + ell) > dim.j:
                 continue
             expected += projectors[nu] @ m_dense @ projectors[nu + ell]
-        got = compute_k(basis, mtilde, ell).matrix
+        got = compute_k(basis, mtilde, ell)
         assert np.abs(got - expected).max() < 1e-11
 
 
@@ -74,8 +91,8 @@ def test_k_gauge_invariance():
     twisted = EigenBasis(dim=dim, eigenvalues=basis.eigenvalues,
                          vectors=basis.vectors * phases)
     for ell in (-dim.two_j, -3, 0, 2, dim.two_j):
-        reference = compute_k(basis, transform_parity(parity, basis), ell).matrix
-        regauged = compute_k(twisted, transform_parity(parity, twisted), ell).matrix
+        reference = compute_k(basis, transform_parity(parity, basis), ell)
+        regauged = compute_k(twisted, transform_parity(parity, twisted), ell)
         assert np.abs(reference - regauged).max() < 1e-13
 
 
@@ -84,8 +101,8 @@ def test_k_conjugation_symmetry():
     basis = jy_eigenbasis(dim)
     mtilde = transform_parity(build_parity(dim, 0.0), basis)
     for ell in range(0, dim.two_j + 1):
-        plus = compute_k(basis, mtilde, ell).matrix
-        minus = compute_k(basis, mtilde, -ell).matrix
+        plus = compute_k(basis, mtilde, ell)
+        minus = compute_k(basis, mtilde, -ell)
         assert np.abs(minus - plus.conj().T).max() < 1e-12
 
 
@@ -125,7 +142,7 @@ def test_method_c_ghz_edge_columns():
     mtilde = transform_parity(parity, basis)
     two_j = dim.two_j
     for ell in range(-two_j, two_j + 1):
-        k = compute_k(basis, mtilde, ell).matrix
+        k = compute_k(basis, mtilde, ell)
         # single-term sums at the band edges: only one corner entry survives
         assert table.get(ell, two_j) == pytest.approx(rho[0, -1] * k[-1, 0], abs=1e-15)
         assert table.get(ell, -two_j) == pytest.approx(rho[-1, 0] * k[0, -1], abs=1e-15)
@@ -282,7 +299,7 @@ def test_mirrored_rows_match_rows_built_from_their_own_k(d, s, tmp_path):
     rho = random_density(dim, 40 + d)
     basis = jy_eigenbasis(dim)
     parity = build_parity(dim, s)
-    mtilde = transform_parity(parity, basis).matrix
+    mtilde = transform_parity(parity, basis)
     two_j = dim.two_j
     direct = np.array([accumulate_row(rho, _k_matrix(basis.vectors, mtilde, ell))
                        for ell in range(-two_j, 0)])
@@ -302,7 +319,7 @@ def test_mirrored_half_of_row_zero_matches_its_own_k(d, tmp_path):
     basis = jy_eigenbasis(dim)
     parity = build_parity(dim, 0.0)
     two_j = dim.two_j
-    row0 = accumulate_row(rho, _k_matrix(basis.vectors, transform_parity(parity, basis).matrix, 0))
+    row0 = accumulate_row(rho, _k_matrix(basis.vectors, transform_parity(parity, basis), 0))
     for table in (fourier_coefficients_method_c(rho, parity),
                   fourier_coefficients_method_d(rho, precompute_cache(dim, 0.0, tmp_path))):
         assert np.abs(table.coeffs[two_j, :two_j] - row0[:two_j]).max() < 1e-13

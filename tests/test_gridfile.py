@@ -47,10 +47,11 @@ def test_written_files_equal_the_one_piece_container(grid, tmp_path):
     write_grid(tmp_path / "g.bin", grid, "piecewise \u00e9")
     expected = _reference_container(5, -0.5, 12, 0x43, "piecewise \u00e9", grid.values)
     assert (tmp_path / "g.bin").read_bytes() == expected
-    strided = PhaseSpaceGrid(dim=grid.dim, s=grid.s, n=6, values=grid.values[::2, ::2],
-                             method="deriv-phi")
+    # A 6 x 6 view holds a d = 3 grid: d = 5 needs n >= 10.
+    strided = PhaseSpaceGrid(dim=SpinDimension.from_d(3), s=grid.s, n=6,
+                             values=grid.values[::2, ::2], method="deriv-phi")
     write_grid(tmp_path / "w.bin", strided)
-    expected = _reference_container(5, -0.5, 6, 0x50, "", grid.values[::2, ::2])
+    expected = _reference_container(3, -0.5, 6, 0x50, "", grid.values[::2, ::2])
     assert (tmp_path / "w.bin").read_bytes() == expected
     rho = random_density(SpinDimension.from_d(4), 2).T  # Fortran order
     write_matrix(tmp_path / "m.bin", rho, "rho")
@@ -173,6 +174,16 @@ def test_impossible_header_is_a_grid_file_error(tmp_path, d, s):
     path.write_bytes(_reference_container(d, s, 6, 0x43, "", values))
     with pytest.raises(GridFileError, match="impossible grid header"):
         read_grid(path)
+
+
+@pytest.mark.parametrize("d, s, n", [(5, 0.0, 6), (3, 0.0, 7), (3, np.nan, 6), (3, 5.0, 6)])
+def test_write_grid_refuses_a_header_read_grid_refuses(tmp_path, d, s, n):
+    grid = PhaseSpaceGrid(dim=SpinDimension.from_d(d), s=s, n=n,
+                          values=np.zeros((n, n), dtype=complex), method="c")
+    path = tmp_path / "g.bin"
+    with pytest.raises(GridFileError, match="impossible grid header"):
+        write_grid(path, grid)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("index", ["-1,0", "0,-1", "1.7,0", "0,0.5", "nan,0", "0,inf"])

@@ -307,7 +307,7 @@ def test_cache_with_one_product_per_record_stays_valid(cache10):
     dim = SpinDimension.from_d(10)
     parity = build_parity(dim, 0.0)
     basis = jy_eigenbasis(dim)
-    mtilde = transform_parity(parity, basis).matrix
+    mtilde = transform_parity(parity, basis)
     manifest = json.loads(cache10.manifest_path.read_text())
     changed = 0
     for rec in manifest["records"]:

@@ -127,22 +127,22 @@ def test_transform_identity_kernel():
     basis = jy_eigenbasis(dim)
     synthetic = ParityOperator(dim=dim, s=0.0, diag=np.ones(5))
     transformed = transform_parity(synthetic, basis)
-    assert np.abs(transformed.matrix - np.eye(5)).max() < 1e-13
+    assert np.abs(transformed - np.eye(5)).max() < 1e-13
 
 
 def test_transform_preserves_spectrum_and_hermiticity():
     dim = SpinDimension.from_d(2)
     parity = build_parity(dim, 0.0)
     transformed = transform_parity(parity, jy_eigenbasis(dim))
-    assert np.abs(transformed.matrix - transformed.matrix.conj().T).max() < 1e-13
-    eigs = np.sort(np.linalg.eigvalsh(transformed.matrix))
+    assert np.abs(transformed - transformed.conj().T).max() < 1e-13
+    eigs = np.sort(np.linalg.eigvalsh(transformed))
     expected = np.sort([(1 + math.sqrt(3)) / SQRT2, (1 - math.sqrt(3)) / SQRT2])
     assert np.abs(eigs - expected).max() < 1e-10
 
     dim = SpinDimension.from_d(9)
     parity = build_parity(dim, -0.5)
     transformed = transform_parity(parity, jy_eigenbasis(dim))
-    eigs = np.sort(np.linalg.eigvalsh(transformed.matrix))
+    eigs = np.sort(np.linalg.eigvalsh(transformed))
     assert np.abs(eigs - np.sort(parity.diag)).max() < 1e-10
 
 
