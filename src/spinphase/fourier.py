@@ -7,7 +7,9 @@ K_ell couples one theta frequency to every phi frequency through the
 diagonals of the density matrix.  Methods c and d share ``_fill_table``,
 which lays rho out once per table and then, per K_ell, forms only the
 products on rho's nonzero diagonals and sums each diagonal in a fixed
-order (``_RowSums``).  Method d's loop runs on two threads when the process
+order (``_RowSums``).  Method c builds each K_ell as one d x d product, or,
+when rho's nonzero diagonals hold few cells (Dicke, GHZ), only those
+diagonals of it.  Method d's loop runs on two threads when the process
 may use two CPUs; method c's stays on one.
 """
 
@@ -40,6 +42,14 @@ _PAIRWISE_THRESHOLD = 256
 # so a rho with fewer than d^2 / _ENTRIES_PER_CALL nonzero diagonals has its
 # products formed one diagonal per call instead of in one d x d call.
 _ENTRIES_PER_CALL = 1024
+
+# A complex multiply-add in np.einsum's sum-of-products loop costs about this
+# many times one in zgemm with BLAS on one thread, so method c builds only
+# rho's nonzero diagonals of each K_ell once they hold at most
+# d^2 / _EINSUM_PER_ZGEMM cells.  Measured on banded random states (2-vCPU
+# VM, numpy 2.4, OpenBLAS), the diagonal build wins below cells / d^2 = 0.028
+# and loses above 0.040 at d = 320; at d = 64 it wins at 0.016, loses at 0.046.
+_EINSUM_PER_ZGEMM = 32
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,36 @@ def _k_matrix(u: np.ndarray, mtilde: np.ndarray, ell: int) -> np.ndarray:
         left = u[:, -ell:]
         right = u[:, : d + ell]
     return (left * w) @ right.conj().T
+
+
+def _k_diagonals(u: np.ndarray, mtilde: np.ndarray,
+                 offsets: np.ndarray) -> Callable[[int], np.ndarray]:
+    """K_ell of ``_k_matrix`` with only diagonals ``offsets`` filled, one buffer for every ell.
+
+    Diagonal k holds [K_ell]_{i, i+k} = sum_nu left[i, nu] w[nu] conj(right[i+k, nu]),
+    one einsum per diagonal into a view of the buffer; every other entry
+    stays +0.0.  The returned array is overwritten by the next call.
+    """
+    d = u.shape[0]
+    uc = u.conj()
+    buffer = np.zeros((d, d), dtype=complex)
+    flat = buffer.reshape(-1)
+    plans = []
+    for k in map(int, offsets):
+        lo, hi = max(0, -k), min(d, d - k)  # rows i of the cells [i, i+k]
+        plans.append((lo, hi, k, flat[lo * (d + 1) + k::d + 1][:hi - lo]))
+
+    def k_of_ell(ell: int) -> np.ndarray:
+        w = np.diagonal(mtilde, ell)
+        if ell >= 0:
+            left, right_conj = u[:, : d - ell], uc[:, ell:]
+        else:
+            left, right_conj = u[:, -ell:], uc[:, : d + ell]
+        for lo, hi, k, out in plans:
+            np.einsum("iv,v,iv->i", left[lo:hi], w, right_conj[lo + k:hi + k], out=out)
+        return buffer
+
+    return k_of_ell
 
 
 def compute_k(basis: EigenBasis, mtilde: np.ndarray, ell: int) -> np.ndarray:
@@ -224,11 +264,14 @@ def _on_two_threads(ells: range, fill: Callable[[int, _RowSums], None],
         raise errors[min(errors)]
 
 
-def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
+def _fill_table(rho, dim: SpinDimension, s: float,
                 k_of_ell: Callable[[int], np.ndarray],
                 on_mirrored: Callable[[int], object] | None = None,
                 two_threads: bool = False) -> FourierTable:
     """Table whose row ell is accumulate_row(rho, k_of_ell(ell)), for methods c and d.
+
+    ``rho`` is a density matrix or the ``_RowSums`` prepared from one, which
+    the table then uses instead of preparing its own.
 
     An exactly Hermitian rho has a real phase-space function, so
     F_{-ell,-m} = conj(F_{ell m}): only the rows ell >= 0 are accumulated and
@@ -252,8 +295,8 @@ def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
     run on both, and times they record add up over the two.
     """
     two_j = dim.two_j
-    hermitian = np.array_equal(rho, rho.conj().T)
-    prepared = _RowSums(rho)
+    prepared = rho if isinstance(rho, _RowSums) else _RowSums(rho)
+    hermitian = np.array_equal(prepared.rho_t, prepared.rho_t.conj().T)
     coeffs = np.zeros((2 * two_j + 1, 2 * two_j + 1), dtype=complex)
 
     def fill(ell: int, rows: _RowSums) -> None:
@@ -280,14 +323,21 @@ def _fill_table(rho: np.ndarray, dim: SpinDimension, s: float,
 def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> FourierTable:
     """Fourier coefficients with K matrices built on the fly and discarded.
 
-    O(d^4) time, O(d^2) memory: one K matrix exists at a time.
+    O(d^4) time for a general rho, O(d^2) memory: one K matrix exists at a
+    time.  A rho whose nonzero diagonals hold E <= d^2 / _EINSUM_PER_ZGEMM
+    cells has only those diagonals of each K_ell built, in O(E d^2) time:
+    O(d^3) for Dicke and GHZ states.
     """
     dim = parity.dim
-    rho = as_density_matrix(rho, dim)
+    rows = _RowSums(as_density_matrix(rho, dim))
     basis = jy_eigenbasis(dim)
     mtilde = transform_parity(parity, basis)
     u = basis.vectors
-    return _fill_table(rho, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell))
+    d = dim.d
+    cells = int(np.sum(d - np.abs(rows.offsets)))
+    if cells * _EINSUM_PER_ZGEMM <= d * d:
+        return _fill_table(rows, dim, parity.s, _k_diagonals(u, mtilde, rows.offsets))
+    return _fill_table(rows, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell))
 
 
 def derivative_coefficients(table: FourierTable, variable: str) -> FourierTable:

@@ -7,6 +7,8 @@ all-ones state is |J, -J> (index d-1).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .angular import SpinDimension, jx_eigenbasis, rotation_operator
@@ -64,21 +66,42 @@ def dicke(dim: SpinDimension, m) -> np.ndarray:
     return _pure(psi)
 
 
+def _phase_parameter(name: str, value, dim: SpinDimension, power: int) -> float:
+    """``value`` as a float, refused unless value * J^power is finite.
+
+    ``squeezed`` and ``coherent`` take exp(-i value x) for eigenvalues x
+    up to J^power, and an infinite or NaN product would yield a NaN state.
+    """
+    value = float(value)
+    if not math.isfinite(value * dim.j ** power):
+        scale = "J" if power == 1 else f"J^{power}"
+        raise ValueError(f"{name} = {value!r} is not finite or {name} * {scale} "
+                         f"overflows at J = {dim.j:g}")
+    return value
+
+
 def squeezed(dim: SpinDimension, xi: float) -> np.ndarray:
     """One-axis-twisting evolution exp(-i xi J_x^2) applied to spin-up.
 
     Evolved exactly through the eigendecomposition of J_x; unitary for
-    every xi, so the state stays normalized to machine precision.
+    every xi, so the state stays normalized to machine precision.  xi and
+    xi * J^2 must be finite.
     """
+    xi = _phase_parameter("xi", xi, dim, 2)
     basis = jx_eigenbasis(dim)
     v = basis.vectors
-    phases = np.exp(-1j * float(xi) * basis.eigenvalues ** 2)
+    phases = np.exp(-1j * xi * basis.eigenvalues ** 2)
     psi = v @ (phases * v[0, :].conj())
     return _pure(psi)
 
 
 def coherent(dim: SpinDimension, theta0: float, phi0: float) -> np.ndarray:
-    """Spin-coherent state pointing along (theta0, phi0)."""
+    """Spin-coherent state pointing along (theta0, phi0).
+
+    theta0 * J and phi0 * J must be finite.
+    """
+    theta0 = _phase_parameter("theta0", theta0, dim, 1)
+    phi0 = _phase_parameter("phi0", phi0, dim, 1)
     psi = rotation_operator(dim, theta0, phi0)[:, 0]
     return _pure(psi)
 

@@ -244,6 +244,25 @@ def test_cli_commands_load_no_scipy(tmp_path, argv):
     assert result.stdout.splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("state, param, name", [
+    ("squeezed", "xi=inf", "xi"),
+    ("squeezed", "xi=1e308", "xi"),
+    ("coherent", "theta0=nan", "theta0"),
+    ("coherent", "phi0=-inf", "phi0"),
+])
+def test_non_finite_state_parameter_is_one_error_line(state, param, name):
+    # A child process, so NumPy warnings would reach stderr as they do for a user.
+    result = subprocess.run(
+        [sys.executable, "-m", "spinphase.cli", "compute", "--state", state,
+         "--param", param, "--dim", "4"],
+        env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name} = ")
+    assert "Warning" not in result.stderr
+
+
 def test_closed_stdout_exits_quietly():
     # 512^2 CSV rows are far more than a pipe buffer holds, so the child
     # writes into the closed pipe.

@@ -265,7 +265,8 @@ def _diagonal_sums(h):
 
 
 def test_diagonal_sum_branches_agree():
-    # d > 256 switches from bincount to per-diagonal pairwise summation.
+    # d > 256 switches from running sums in the skew buffer, which add in
+    # bincount's order, to per-diagonal pairwise summation.
     rng = np.random.default_rng(12)
     d = 300
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -403,7 +404,8 @@ def test_sphere_integral_equals_weighted_trace(d, s):
     rng = np.random.default_rng(d)
     general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     general /= np.linalg.norm(general)  # non-Hermitian, on the scale of a density matrix
-    for rho in (random_density(dim, d), general):
+    # Dicke and GHZ take the diagonal K build at d = 101, the full one below.
+    for rho in (random_density(dim, d), general, dicke(dim, dim.j - 1), ghz(dim)):
         table = fourier_coefficients_method_c(rho, parity)
         integral = 2 * np.pi * table.coeffs[:, dim.two_j] @ _theta_integrals(dim.two_j)
         expected = gamma_0 ** (1 - s) * np.trace(rho)
@@ -600,3 +602,148 @@ def test_one_usable_cpu_starts_no_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(cache, "read_k", recorded)
     fourier_coefficients_method_d(random_density(dim, 4), cache)
     assert readers == {threading.get_ident()}
+
+
+# Method c builds only rho's nonzero diagonals of each K_ell when they hold
+# at most d^2 / _EINSUM_PER_ZGEMM cells.
+
+def _band(dim, half_width):
+    """Hermitian random rho restricted to the diagonals |k| <= half_width."""
+    rho = random_density(dim, dim.d)
+    return np.triu(np.tril(rho, half_width), -half_width)
+
+
+def _cells(rho):
+    """Cells on the nonzero diagonals of rho: the E the switch compares with d^2."""
+    d = rho.shape[0]
+    return sum(d - abs(k) for k in range(1 - d, d) if np.diagonal(rho, k).any())
+
+
+def _sparse_inputs(dim):
+    from spinphase.cgc import tensor_operator
+
+    d = dim.d
+    budget = d * d // fourier._EINSUM_PER_ZGEMM
+    widest = max(b for b in range(d) if sum(d - abs(k) for k in range(-b, b + 1)) <= budget)
+    corners = np.zeros((d, d), dtype=complex)  # enough diagonals for the dense product
+    for k in range(d - 1, d - 1 - -(-d * d // 2048), -1):
+        corners += np.diag(np.full(d - k, 0.25 + 0.5j), k)
+    corners += corners.conj().T
+    outer = np.zeros((d, d), dtype=complex)
+    outer[dim.index_of_m(dim.j - 1), dim.index_of_m(-dim.j + 3)] = 1.0  # |J, J-1><J, 3-J|
+    return {
+        "dicke J": dicke(dim, dim.j),
+        "dicke 0": dicke(dim, dim.j % 1),
+        "dicke 1-J": dicke(dim, 1 - dim.j),
+        "ghz": ghz(dim),
+        "T_32": tensor_operator(dim, 3, 2),
+        "outer": outer,
+        "zero": np.zeros((d, d), dtype=complex),
+        "corners": corners,
+        "band below": _band(dim, widest),
+        "band above": _band(dim, widest + 1),
+    }
+
+
+def _full_k_tables(rhos, dim, s):
+    """Tables ``_fill_table`` builds from full ``compute_k`` matrices.
+
+    One pass over ell computes each K_ell once and keeps the cells on the
+    diagonals some rho has nonzero, the only cells any row reads.
+    """
+    d = dim.d
+    basis = jy_eigenbasis(dim)
+    mtilde = transform_parity(build_parity(dim, s), basis)
+    offsets = np.arange(d)[None, :] - np.arange(d)[:, None]
+    read = np.isin(offsets, [k for rho in rhos for k in range(1 - d, d)
+                             if np.diagonal(rho.T, k).any()])
+    kept = {ell: compute_k(basis, mtilde, ell)[read]
+            for ell in range(-dim.two_j, dim.two_j + 1)}
+    buffer = np.zeros((d, d), dtype=complex)
+
+    def k_of_ell(ell):
+        buffer[read] = kept[ell]
+        return buffer
+
+    return [fourier._fill_table(rho, dim, s, k_of_ell).coeffs for rho in rhos]
+
+
+# Every order below _PAIRWISE_THRESHOLD, and every order once above it:
+# the full-K reference takes seconds per order there.
+@pytest.mark.parametrize("d, s", [(d, s) for d in (34, 64, 65) for s in (-1.0, 0.0, 0.5)]
+                         + [(257, -1.0), (257, 0.5), (320, 0.0)])
+def test_diagonal_k_build_matches_tables_from_full_k(d, s, monkeypatch):
+    dim = SpinDimension.from_d(d)
+    inputs = _sparse_inputs(dim)
+    assert fourier._RowSums(inputs["corners"]).dense  # reads K off rho's diagonals too
+    references = _full_k_tables(list(inputs.values()), dim, s)
+    calls = []
+    k_matrix = fourier._k_matrix
+
+    def counted(*args):
+        calls.append(args[2])
+        return k_matrix(*args)
+
+    monkeypatch.setattr(fourier, "_k_matrix", counted)
+    parity = build_parity(dim, s)
+    for (name, rho), reference in zip(inputs.items(), references):
+        calls.clear()
+        table = fourier_coefficients_method_c(rho, parity).coeffs
+        # Each build rounds a K entry at eps times its terms, which reach 7e7
+        # at s = 0.5 and d = 64 while the table stays near 1: the bound adds
+        # eps ||rho||_F ||M_s||_F, the rounding scale of any route there.
+        bound = (1e-13 * max(1.0, np.abs(reference).max())
+                 + np.finfo(float).eps * np.linalg.norm(rho) * np.linalg.norm(parity.diag))
+        assert np.abs(table - reference).max() <= bound, name
+        hermitian = np.array_equal(rho, rho.conj().T)
+        full = _cells(rho) * fourier._EINSUM_PER_ZGEMM > d * d
+        assert len(calls) == (0 if not full else dim.two_j + 1 if hermitian
+                              else 2 * dim.two_j + 1), name
+
+
+def test_method_c_builds_full_k_only_for_dense_rho(monkeypatch):
+    # Criterion 6 times method c on random_density(dim, SEED): it must keep
+    # building every full K.
+    from spinphase.bench import SEED
+
+    calls = []
+    k_matrix = fourier._k_matrix
+
+    def counted(*args):
+        calls.append(args[2])
+        return k_matrix(*args)
+
+    monkeypatch.setattr(fourier, "_k_matrix", counted)
+
+    def ells_built(rho, dim):
+        calls.clear()
+        fourier_coefficients_method_c(rho, build_parity(dim, 0.0))
+        return sorted(calls)
+
+    dim = SpinDimension.from_d(64)
+    for rho in (dicke(dim, 0.5), dicke(dim, dim.j), ghz(dim)):
+        assert ells_built(rho, dim) == []
+    for d in (50, 100):
+        dim = SpinDimension.from_d(d)
+        assert ells_built(random_density(dim, SEED), dim) == list(range(dim.two_j + 1))
+    rng = np.random.default_rng(7)
+    general = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
+    dim = SpinDimension.from_d(50)
+    assert ells_built(general, dim) == list(range(-dim.two_j, dim.two_j + 1))
+
+
+@pytest.mark.parametrize("d", [64, 257])
+def test_method_c_and_d_agree_on_dicke_and_ghz(d, tmp_path):
+    # They no longer share bits here: method c builds K's diagonals by einsum.
+    import shutil
+
+    dim = SpinDimension.from_d(d)
+    parity = build_parity(dim, 0.0)
+    cache = precompute_cache(dim, 0.0, tmp_path / "cache")
+    try:
+        for rho in (dicke(dim, dim.j % 1), dicke(dim, 1 - dim.j), ghz(dim)):
+            table_c = fourier_coefficients_method_c(rho, parity).coeffs
+            table_d = fourier_coefficients_method_d(rho, cache).coeffs
+            assert np.abs(table_c - table_d).max() <= 1e-13 * np.abs(table_d).max()
+    finally:
+        shutil.rmtree(cache.directory)  # 540 MB at d = 257

@@ -163,6 +163,19 @@ def test_as_density_matrix_checks_shape_and_values():
             as_density_matrix(rho, dim)
 
 
+@pytest.mark.parametrize("name", ["xi", "theta0", "phi0"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e308])
+def test_state_parameters_that_are_not_finite_are_refused(name, value):
+    # 1e308 is finite, but times J (J^2 for xi) it overflows to inf; the
+    # error comes before any arithmetic, so no RuntimeWarning either.
+    dim = SpinDimension.from_d(5)
+    build = {"xi": lambda: squeezed(dim, value),
+             "theta0": lambda: coherent(dim, value, 0.3),
+             "phi0": lambda: coherent(dim, 0.3, value)}[name]
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        build()
+
+
 @pytest.mark.parametrize("route", ["c", "d", "direct_grid", "direct_eval", "b_grid",
                                    "b_eval", "expansion"])
 def test_grid_routes_reject_non_finite_rho(tmp_path, route):
