@@ -10,7 +10,7 @@ from .kcache import (CacheCorruptError, CacheError, CacheIncompleteError,
                      CacheMismatchError, KCache, fourier_coefficients_method_d,
                      open_cache, precompute_cache)
 from .parity import (ParityOperator, ParityOverflowError, build_parity, gamma_j,
-                     log_gamma_j, sphere_radius, transform_parity)
+                     log_gamma_j, rounding_bound, sphere_radius, transform_parity)
 from .sampling import (GridWindow, PhaseSpaceGrid, direct_eval, direct_grid,
                        method_b_grid, minimal_grid_size, sample_fft, sample_fft_full,
                        window_extract)

@@ -27,7 +27,7 @@ from .fourier import derivative_coefficients, fourier_coefficients_method_c
 from .gridfile import GridFileError, load_matrix, write_grid, write_grid_csv
 from .kcache import (CacheError, cache_directory, fourier_coefficients_method_d, open_cache,
                      precompute_cache)
-from .parity import build_parity, validate_s
+from .parity import build_parity, rounding_bound, validate_s
 from .sampling import (PhaseSpaceGrid, default_grid_size, direct_grid, method_b_grid,
                        sample_fft, window_extract)
 from . import states
@@ -37,6 +37,8 @@ KIND_TO_S = {"wigner": 0.0, "husimi": -1.0, "glauber": 1.0}
 STATE_PARAMS = {"ghz": (), "dicke": ("m",), "squeezed": ("xi",),
                 "coherent": ("theta0", "phi0"), "mixed": (), "random": ("seed",)}
 ENV_CACHE = "SPINPHASE_CACHE"
+# compute and deriv warn on stderr when rounding may reach this share of a grid's peak.
+IMPRECISE_SHARE = 1e-6
 
 
 class CliError(Exception):
@@ -165,6 +167,15 @@ def _emit_grid(args, grid: PhaseSpaceGrid, description: str, out=None) -> None:
     print(f"wrote {out}")
 
 
+def _warn_if_imprecise(bound: float, grids) -> None:
+    """One stderr line when ``bound`` exceeds IMPRECISE_SHARE of the peak of any of ``grids``."""
+    peaks = [float(np.abs(grid.values).max()) for grid in grids]
+    share = max((bound / peak for peak in peaks if peak > 0), default=0.0)
+    if share > IMPRECISE_SHARE:
+        print(f"warning: rounding may reach {share:.1e} of the grid's peak "
+              "(eps ||rho||_F ||M_s||_F); values may be inaccurate", file=sys.stderr)
+
+
 def cmd_precompute(args) -> int:
     dim = SpinDimension.from_d(args.dim)
     s = _resolve_s(args)
@@ -191,6 +202,7 @@ def cmd_compute(args) -> int:
         grid = method_b_grid(rho, s, n)
     else:
         grid = direct_grid(rho, build_parity(dim, s), n)
+    _warn_if_imprecise(rounding_bound(rho, dim, s), [grid])
     _emit_grid(args, grid, description)
     return 0
 
@@ -203,9 +215,12 @@ def cmd_deriv(args) -> int:
     n = args.n if args.n is not None else default_grid_size(dim)
     table = TABLE_ROUTES[args.method](dim, s, _given_root(args))(rho)
     variables = ["theta", "phi"] if args.variable == "grad" else [args.variable]
-    for variable in variables:
-        deriv = derivative_coefficients(table, variable)
-        grid = sample_fft(deriv, n, method=f"deriv-{variable}")
+    grids = [sample_fft(derivative_coefficients(table, variable), n, method=f"deriv-{variable}")
+             for variable in variables]
+    # Bernstein's inequality: differentiating a series of degree 2J scales
+    # its largest error by at most 2J.
+    _warn_if_imprecise(dim.two_j * rounding_bound(rho, dim, s), grids)
+    for variable, grid in zip(variables, grids):
         out = args.out
         if out is not None and len(variables) > 1:
             path = Path(out)

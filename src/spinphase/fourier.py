@@ -9,8 +9,10 @@ which lays rho out once per table and then, per K_ell, forms only the
 products on rho's nonzero diagonals and sums each diagonal in a fixed
 order (``_RowSums``).  Method c builds each K_ell as one d x d product, or,
 when rho's nonzero diagonals hold few cells (Dicke, GHZ), only those
-diagonals of it.  Method d's loop runs on two threads when the process
-may use two CPUs; method c's stays on one.
+diagonals of it, or, when rho's nonzero rows and columns lie on a lattice
+of levels a, a+p, ..., b (a squeezed state's even levels), only the cells
+between those levels, as one smaller product.  Method d's loop runs on two
+threads when the process may use two CPUs; method c's stays on one.
 """
 
 from __future__ import annotations
@@ -75,10 +77,14 @@ class FourierTable:
 
 
 def _k_matrix(u: np.ndarray, mtilde: np.ndarray, ell: int) -> np.ndarray:
-    """K_ell = sum_nu [Mtilde]_{nu, nu+ell} |U_nu><U_{nu+ell}| as a dense array."""
-    d = u.shape[0]
+    """K_ell = sum_nu [Mtilde]_{nu, nu+ell} |U_nu><U_{nu+ell}| as a dense array.
+
+    ``u`` may hold only some rows i of the basis vectors; K_ell then holds
+    just the cells [i, i'] between them.
+    """
+    rows, d = u.shape
     if abs(ell) >= d:
-        return np.zeros((d, d), dtype=complex)
+        return np.zeros((rows, rows), dtype=complex)
     w = np.diagonal(mtilde, ell)
     if ell >= 0:
         left = u[:, : d - ell]
@@ -267,11 +273,13 @@ def _on_two_threads(ells: range, fill: Callable[[int, _RowSums], None],
 def _fill_table(rho, dim: SpinDimension, s: float,
                 k_of_ell: Callable[[int], np.ndarray],
                 on_mirrored: Callable[[int], object] | None = None,
-                two_threads: bool = False) -> FourierTable:
+                two_threads: bool = False, columns: slice = slice(None)) -> FourierTable:
     """Table whose row ell is accumulate_row(rho, k_of_ell(ell)), for methods c and d.
 
     ``rho`` is a density matrix or the ``_RowSums`` prepared from one, which
-    the table then uses instead of preparing its own.
+    the table then uses instead of preparing its own.  Each accumulated row
+    is written into ``columns`` of its table row and the rest stays +0.0, so
+    a rho of fewer levels than d fills the phi frequencies it carries.
 
     An exactly Hermitian rho has a real phase-space function, so
     F_{-ell,-m} = conj(F_{ell m}): only the rows ell >= 0 are accumulated and
@@ -304,7 +312,7 @@ def _fill_table(rho, dim: SpinDimension, s: float,
             if on_mirrored is not None:
                 on_mirrored(ell)
         else:
-            coeffs[ell + two_j, :] = accumulate_row(rows, k_of_ell(ell))
+            coeffs[ell + two_j, columns] = accumulate_row(rows, k_of_ell(ell))
 
     ells = range(-two_j, two_j + 1)
     if two_threads and _usable_cpus() >= 2:
@@ -320,16 +328,33 @@ def _fill_table(rho, dim: SpinDimension, s: float,
     return FourierTable(dim=dim, s=s, coeffs=coeffs)
 
 
+def _support_lattice(rho: np.ndarray) -> slice:
+    """Smallest slice a:b+1:p whose levels hold every nonzero row and column of rho.
+
+    The full slice for a rho with no nonzero entry.
+    """
+    levels = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
+    if levels.size == 0:
+        return slice(0, rho.shape[0], 1)
+    stride = int(np.gcd.reduce(levels - levels[0]))  # 0 for one level
+    return slice(int(levels[0]), int(levels[-1]) + 1, max(stride, 1))
+
+
 def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> FourierTable:
     """Fourier coefficients with K matrices built on the fly and discarded.
 
     O(d^4) time for a general rho, O(d^2) memory: one K matrix exists at a
     time.  A rho whose nonzero diagonals hold E <= d^2 / _EINSUM_PER_ZGEMM
     cells has only those diagonals of each K_ell built, in O(E d^2) time:
-    O(d^3) for Dicke and GHZ states.
+    O(d^3) for Dicke and GHZ states.  Any other rho whose nonzero rows and
+    columns all lie on a lattice T = a, a+p, ..., b of 1 < |T| < d levels
+    (a parity-conserving squeezed state: p = 2) is computed as the smaller
+    rho[T, T] with K_ell[T, T], in O(|T|^2 d^2) time; its row entry m'
+    is phi frequency p m'.  A one-level T takes the full build.
     """
     dim = parity.dim
-    rows = _RowSums(as_density_matrix(rho, dim))
+    rho = as_density_matrix(rho, dim)
+    rows = _RowSums(rho)
     basis = jy_eigenbasis(dim)
     mtilde = transform_parity(parity, basis)
     u = basis.vectors
@@ -337,7 +362,16 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     cells = int(np.sum(d - np.abs(rows.offsets)))
     if cells * _EINSUM_PER_ZGEMM <= d * d:
         return _fill_table(rows, dim, parity.s, _k_diagonals(u, mtilde, rows.offsets))
-    return _fill_table(rows, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell))
+    levels = _support_lattice(rho)
+    size = len(range(d)[levels])
+    columns = slice(None)
+    if 1 < size < d:
+        rows = _RowSums(rho[levels, levels])
+        u = u[levels]
+        reach = levels.step * (size - 1)  # largest phi frequency rho[T, T] carries
+        columns = slice(d - 1 - reach, d + reach, levels.step)
+    return _fill_table(rows, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell),
+                       columns=columns)
 
 
 def derivative_coefficients(table: FourierTable, variable: str) -> FourierTable:

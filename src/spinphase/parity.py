@@ -25,6 +25,7 @@ __all__ = [
     "gamma_power",
     "validate_s",
     "build_parity",
+    "rounding_bound",
     "transform_parity",
 ]
 
@@ -100,17 +101,36 @@ class ParityOperator:
         return np.diag(self.diag.astype(complex))
 
 
-def build_parity(dim: SpinDimension, s: float) -> ParityOperator:
-    """Assemble M_s = (1/R) sum_j sqrt((2j+1)/4pi) (gamma_j)^(-s) T_j0."""
-    s = validate_s(s)
+def _kernel_weights(dim: SpinDimension, s: float) -> np.ndarray:
+    """Weight sqrt((2j+1)/4pi) (gamma_j)^(-s) / R of T_j0 in M_s, j = 0..2J."""
     j = np.arange(dim.two_j + 1, dtype=float)
     log_weight = (0.5 * (np.log(2.0 * j + 1.0) - LOG_4PI)
                   - s * log_gamma_j(dim) - math.log(sphere_radius(dim)))
-    diag = _exp_weights(log_weight, dim, s) @ tensor_bands(dim, 0)
+    return _exp_weights(log_weight, dim, s)
+
+
+def build_parity(dim: SpinDimension, s: float) -> ParityOperator:
+    """Assemble M_s = (1/R) sum_j sqrt((2j+1)/4pi) (gamma_j)^(-s) T_j0."""
+    s = validate_s(s)
+    diag = _kernel_weights(dim, s) @ tensor_bands(dim, 0)
     if not np.all(np.isfinite(diag)):
         raise ParityOverflowError(f"parity diagonal overflows for d = {dim.d}, s = {s}")
     diag.setflags(write=False)
     return ParityOperator(dim=dim, s=s, diag=diag)
+
+
+def rounding_bound(rho: np.ndarray, dim: SpinDimension, s: float) -> float:
+    """E = eps ||rho||_F ||M_s||_F, the rounding scale of every phase-space value.
+
+    A value is tr(rho R M_s R^dagger) with R unitary, so perturbing rho by
+    delta moves it by at most ||delta||_F ||M_s||_F, and rounding rho (and
+    the products formed from it) to doubles is a delta of about
+    eps ||rho||_F.  The T_j0 are orthonormal, so ||M_s||_F = ||diag||_2 is
+    the 2-norm of their weights: O(d), with no parity operator built.  The
+    routes' own rounding, about d eps of the peak, comes on top.
+    """
+    kernel = math.hypot(*_kernel_weights(dim, validate_s(s)))  # cannot overflow midway
+    return float(np.finfo(float).eps * np.linalg.norm(rho) * kernel)
 
 
 def transform_parity(parity: ParityOperator, basis: EigenBasis) -> np.ndarray:

@@ -84,14 +84,17 @@ def squeezed(dim: SpinDimension, xi: float) -> np.ndarray:
     """One-axis-twisting evolution exp(-i xi J_x^2) applied to spin-up.
 
     Evolved exactly through the eigendecomposition of J_x; unitary for
-    every xi, so the state stays normalized to machine precision.  xi and
-    xi * J^2 must be finite.
+    every xi, so the state stays normalized to machine precision.  J_x^2
+    changes m by 0 or 2, so only the levels of even index (J - m even) are
+    reached; the rounding the eigenbasis leaves on the others is set to
+    exact zeros.  xi and xi * J^2 must be finite.
     """
     xi = _phase_parameter("xi", xi, dim, 2)
     basis = jx_eigenbasis(dim)
     v = basis.vectors
     phases = np.exp(-1j * xi * basis.eigenvalues ** 2)
     psi = v @ (phases * v[0, :].conj())
+    psi[1::2] = 0.0
     return _pure(psi)
 
 

@@ -510,3 +510,35 @@ def test_a_table_route_is_added_in_one_place(monkeypatch, tmp_path):
     assert [(row.method, row.d, row.status) for row in report.rows] == [
         ("z", 3, "ok"), ("z", 4, "ok")]
     assert prepared == [(3, 0.0), (3, 0.0), (4, 0.0)]
+
+
+def test_imprecise_grid_warns_on_one_line_and_writes_the_same_grid(tmp_path, capsys):
+    # Glauber grids of this state have E / peak = 1.9e-6 at d = 40, 4e-12 at d = 20.
+    import io
+
+    from spinphase.fourier import fourier_coefficients_method_c
+    from spinphase.gridfile import write_grid_csv
+    from spinphase.parity import build_parity
+    from spinphase.sampling import sample_fft
+    from spinphase.states import coherent
+
+    state = ["--state", "coherent", "--param", "theta0=0.7", "--param", "phi0=1.9",
+             "--kind", "glauber"]
+    for d, warns in ((20, False), (40, True)):
+        out = tmp_path / f"g{d}.csv"
+        assert run("compute", *state, "--dim", d, "--n", 2 * d, "--out", out) == 0
+        err = capsys.readouterr().err
+        if warns:
+            assert err.startswith("warning: rounding may reach 1.9e-06 of the grid's peak")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+        dim = SpinDimension.from_d(d)
+        table = fourier_coefficients_method_c(coherent(dim, 0.7, 1.9), build_parity(dim, 1.0))
+        expected = io.StringIO()
+        write_grid_csv(expected, sample_fft(table, 2 * d, method="c"))
+        assert out.read_text() == expected.getvalue()
+    assert run("deriv", "--variable", "grad", *state, "--dim", 40, "--n", 80,
+               "--out", tmp_path / "g.csv") == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: rounding may reach ") and err.count("\n") == 1

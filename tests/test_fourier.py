@@ -489,9 +489,14 @@ def test_running_sums_start_from_positive_zero(d):
 
 
 def _reference_table(monkeypatch, build, rho):
-    """The table ``build`` makes when every row comes from the reference formula."""
+    """The table ``build`` makes when every row comes from the reference formula.
+
+    Each row is formed from the rho the route prepared: method c hands a rho
+    on a lattice of levels over as its smaller rho[T, T].
+    """
     with monkeypatch.context() as patch:
-        patch.setattr(fourier, "accumulate_row", lambda prepared, k: _reference_row(rho, k))
+        patch.setattr(fourier, "accumulate_row",
+                      lambda prepared, k: _reference_row(prepared.rho_t.T, k))
         return build(rho).coeffs
 
 
@@ -648,24 +653,33 @@ def _sparse_inputs(dim):
 def _full_k_tables(rhos, dim, s):
     """Tables ``_fill_table`` builds from full ``compute_k`` matrices.
 
-    One pass over ell computes each K_ell once and keeps the cells on the
-    diagonals some rho has nonzero, the only cells any row reads.
+    One pass over ell computes each K_ell once and accumulates from it the
+    row of every rho that ``_fill_table`` reads (a Hermitian rho mirrors its
+    rows ell < 0); ``_fill_table`` then lays each table out from those rows.
     """
-    d = dim.d
     basis = jy_eigenbasis(dim)
     mtilde = transform_parity(build_parity(dim, s), basis)
-    offsets = np.arange(d)[None, :] - np.arange(d)[:, None]
-    read = np.isin(offsets, [k for rho in rhos for k in range(1 - d, d)
-                             if np.diagonal(rho.T, k).any()])
-    kept = {ell: compute_k(basis, mtilde, ell)[read]
-            for ell in range(-dim.two_j, dim.two_j + 1)}
-    buffer = np.zeros((d, d), dtype=complex)
+    prepared = [fourier._RowSums(rho) for rho in rhos]
+    first = [0 if np.array_equal(p.rho_t, p.rho_t.conj().T) else -dim.two_j
+             for p in prepared]
+    rows = [{} for _ in rhos]
+    for ell in range(-dim.two_j, dim.two_j + 1):
+        k = compute_k(basis, mtilde, ell)
+        for p, lowest, r in zip(prepared, first, rows):
+            if ell >= lowest:
+                r[ell] = p.row(k)
+    for p, r in zip(prepared, rows):
+        p.row = r.__getitem__  # k_of_ell below passes ell itself: replay its row
+    return [fourier._fill_table(p, dim, s, lambda ell: ell).coeffs for p in prepared]
 
-    def k_of_ell(ell):
-        buffer[read] = kept[ell]
-        return buffer
 
-    return [fourier._fill_table(rho, dim, s, k_of_ell).coeffs for rho in rhos]
+def _assert_matches_full_k(table, reference, rho, parity, name):
+    # Each build rounds a K entry at eps times its terms, which reach 7e7
+    # at s = 0.5 and d = 64 while the table stays near 1: the bound adds
+    # eps ||rho||_F ||M_s||_F, the rounding scale of any route there.
+    bound = (1e-13 * max(1.0, np.abs(reference).max())
+             + np.finfo(float).eps * np.linalg.norm(rho) * np.linalg.norm(parity.diag))
+    assert np.abs(table - reference).max() <= bound, name
 
 
 # Every order below _PAIRWISE_THRESHOLD, and every order once above it:
@@ -689,12 +703,7 @@ def test_diagonal_k_build_matches_tables_from_full_k(d, s, monkeypatch):
     for (name, rho), reference in zip(inputs.items(), references):
         calls.clear()
         table = fourier_coefficients_method_c(rho, parity).coeffs
-        # Each build rounds a K entry at eps times its terms, which reach 7e7
-        # at s = 0.5 and d = 64 while the table stays near 1: the bound adds
-        # eps ||rho||_F ||M_s||_F, the rounding scale of any route there.
-        bound = (1e-13 * max(1.0, np.abs(reference).max())
-                 + np.finfo(float).eps * np.linalg.norm(rho) * np.linalg.norm(parity.diag))
-        assert np.abs(table - reference).max() <= bound, name
+        _assert_matches_full_k(table, reference, rho, parity, name)
         hermitian = np.array_equal(rho, rho.conj().T)
         full = _cells(rho) * fourier._EINSUM_PER_ZGEMM > d * d
         assert len(calls) == (0 if not full else dim.two_j + 1 if hermitian
@@ -747,3 +756,82 @@ def test_method_c_and_d_agree_on_dicke_and_ghz(d, tmp_path):
             assert np.abs(table_c - table_d).max() <= 1e-13 * np.abs(table_d).max()
     finally:
         shutil.rmtree(cache.directory)  # 540 MB at d = 257
+
+
+# Method c computes a rho whose nonzero rows and columns lie on a lattice T
+# of 1 < |T| < d levels as rho[T, T] with K_ell[T, T].
+
+def _hermitian_pure(psi):
+    rho = np.outer(psi, psi.conj())
+    return (rho + rho.conj().T) / 2  # exactly Hermitian: x + conj(y) is commutative
+
+
+def _lattice_inputs(dim):
+    """name -> (rho, |T| of the levels method c should compute it on)."""
+    d = dim.d
+    rng = np.random.default_rng(d)
+
+    def on(levels):
+        psi = np.zeros(d, dtype=complex)
+        psi[levels] = rng.standard_normal(len(levels)) + 1j * rng.standard_normal(len(levels))
+        return psi
+
+    block = np.arange(min(3, d // 4), d - min(4, d // 4))  # levels 3..d-5 from d = 16
+    zero_level = random_density(dim, d)
+    zero_level[5, :] = zero_level[:, 5] = 0.0
+    return {
+        "squeezed": (squeezed(dim, 0.3), (d + 1) // 2),
+        "stride 3": (_hermitian_pure(on(np.arange(1, d, 3))), len(range(1, d, 3))),
+        "interior block": (_hermitian_pure(on(block)), block.size),
+        "|a><b| even": (np.outer(on(np.arange(0, d, 2)), on(np.arange(2, d, 2)).conj()),
+                        (d + 1) // 2),
+        "zero level 5": (zero_level, d),  # p = 1: the full build
+    }
+
+
+@pytest.mark.parametrize("d, s", [(d, s) for d in (7, 34, 64, 65) for s in (-1.0, 0.0, 0.5)]
+                         + [(257, -1.0), (320, 0.0)])
+def test_lattice_k_build_matches_tables_from_full_k(d, s, monkeypatch):
+    dim = SpinDimension.from_d(d)
+    inputs = _lattice_inputs(dim)
+    references = _full_k_tables([rho for rho, _ in inputs.values()], dim, s)
+    rows_seen = []
+    k_matrix = fourier._k_matrix
+
+    def counted(u, mtilde, ell):
+        rows_seen.append(u.shape)
+        return k_matrix(u, mtilde, ell)
+
+    monkeypatch.setattr(fourier, "_k_matrix", counted)
+    parity = build_parity(dim, s)
+    for (name, (rho, size)), reference in zip(inputs.items(), references):
+        rows_seen.clear()
+        table = fourier_coefficients_method_c(rho, parity).coeffs
+        _assert_matches_full_k(table, reference, rho, parity, name)
+        hermitian = np.array_equal(rho, rho.conj().T)
+        assert len(rows_seen) == (dim.two_j + 1 if hermitian else 2 * dim.two_j + 1), name
+        assert set(rows_seen) == {(size, d)}, name
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("s", [-1.0, 0.0, 0.5])
+def test_one_level_states_match_direct_grid(d, s):
+    # A one-level lattice (a Dicke state below the few-diagonal size) takes
+    # the full build: a 1 x 1 _RowSums has no skew cell to sum.
+    dim = SpinDimension.from_d(d)
+    parity = build_parity(dim, s)
+    n = minimal_grid_size(dim)
+    for m in dim.m_values():
+        rho = dicke(dim, m)
+        grid = sample_fft(fourier_coefficients_method_c(rho, parity), n).values
+        assert np.abs(grid - direct_grid(rho, parity, n).values).max() < 1e-12, m
+
+
+@pytest.mark.parametrize("d", [50, 100, 200, 400])
+def test_criterion_6_states_have_full_support(d):
+    # Criterion 6 times method c on random_density(dim, SEED): the lattice
+    # path must never shrink it.
+    from spinphase.bench import SEED
+
+    rho = random_density(SpinDimension.from_d(d), SEED)
+    assert fourier._support_lattice(rho) == slice(0, d, 1)

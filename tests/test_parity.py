@@ -8,7 +8,8 @@ import pytest
 from spinphase.angular import SpinDimension, jy_eigenbasis, rotation_operator
 from spinphase.cgc import tensor_operator
 from spinphase.parity import (ParityOperator, ParityOverflowError, build_parity,
-                              gamma_j, log_gamma_j, sphere_radius, transform_parity)
+                              gamma_j, log_gamma_j, rounding_bound, sphere_radius,
+                              transform_parity)
 
 from reference import clebsch_gordan_racah, spherical_harmonic
 
@@ -170,3 +171,30 @@ def test_rotated_kernel_recovers_harmonic_expansion(d, s):
                         * spherical_harmonic(j, m, theta, phi))
         rhs /= radius
         assert np.abs(lhs - rhs).max() < 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 9, 64, 300])
+@pytest.mark.parametrize("s", [-1.0, 0.0, 0.5, 1.0])
+def test_rounding_bound_is_eps_times_the_norms_of_rho_and_the_kernel(d, s):
+    from spinphase.states import random_density
+
+    dim = SpinDimension.from_d(d)
+    rho = random_density(dim, d)
+    expected = (np.finfo(float).eps * np.linalg.norm(rho)
+                * np.linalg.norm(build_parity(dim, s).diag))
+    assert rounding_bound(rho, dim, s) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 1.0])
+def test_a_perturbation_moves_values_by_at_most_its_norm_times_the_kernel_norm(s):
+    # |f(delta)| <= ||delta||_F ||M_s||_F at every point, the inequality
+    # rounding_bound rests on.
+    from spinphase.sampling import direct_eval
+
+    dim = SpinDimension.from_d(9)
+    parity = build_parity(dim, s)
+    rng = np.random.default_rng(4)
+    delta = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    limit = np.linalg.norm(delta) * np.linalg.norm(parity.diag)
+    for theta, phi in rng.uniform(0.0, [np.pi, 2 * np.pi], (20, 2)):
+        assert abs(direct_eval(delta, parity, theta, phi)) <= limit

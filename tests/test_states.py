@@ -81,6 +81,26 @@ def test_squeezed_matches_matrix_exponential():
         assert np.abs(squeezed(dim, xi) - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 64, 65, 320, 500])
+def test_squeezed_is_exactly_zero_off_its_parity(d):
+    # exp(-i xi J_x^2) keeps J - m even; the even entries are the evolved
+    # state's own, bit for bit.
+    from spinphase.angular import jx_eigenbasis
+
+    dim = SpinDimension.from_d(d)
+    xi = 0.3
+    basis = jx_eigenbasis(dim)
+    v = basis.vectors
+    psi = v @ (np.exp(-1j * xi * basis.eigenvalues ** 2) * v[0, :].conj())
+    rho = squeezed(dim, xi)
+    assert not rho[1::2].any() and not rho[:, 1::2].any()
+    even = psi[::2]
+    expected = np.triu(np.outer(even, even.conj()), 1)
+    expected += expected.conj().T
+    expected[np.diag_indices_from(expected)] = np.abs(even) ** 2
+    assert rho[::2, ::2].tobytes() == expected.tobytes()
+
+
 def test_squeezed_norm_preserved_large_dimension():
     rho = squeezed(SpinDimension.from_d(500), 0.2)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
