@@ -11,8 +11,11 @@ order (``_RowSums``).  Method c builds each K_ell as one d x d product, or,
 when rho's nonzero diagonals hold few cells (Dicke, GHZ), only those
 diagonals of it, or, when rho's nonzero rows and columns lie on a lattice
 of levels a, a+p, ..., b (a squeezed state's even levels), only the cells
-between those levels, as one smaller product.  Method d's loop runs on two
-threads when the process may use two CPUs; method c's stays on one.
+between those levels, as one smaller product.  An exactly Hermitian rank-one
+rho (a pure state) of at least _RANK_ONE_MIN_D levels needs no K_ell at
+all: method c gets its rows from two FFTs over the levels
+(``_rank_one_table``).  Method d's loop runs on two threads when the process
+may use two CPUs; method c's stays on one.
 """
 
 from __future__ import annotations
@@ -52,6 +55,28 @@ _ENTRIES_PER_CALL = 1024
 # VM, numpy 2.4, OpenBLAS), the diagonal build wins below cells / d^2 = 0.028
 # and loses above 0.040 at d = 320; at d = 64 it wins at 0.016, loses at 0.046.
 _EINSUM_PER_ZGEMM = 32
+
+# Method c takes an exactly Hermitian rho = a a^H / c from ``_rank_one_table``
+# (O(d^3)) instead of building its K_ell from this many levels up.  Per table
+# against the lattice or full build (2-vCPU VM, numpy 2.4, OpenBLAS on one
+# thread, medians of 7-9 alternating rounds), coherent and random pure states
+# break even at d = 9-10 (0.23 -> 0.25 ms and 0.26 -> 0.26 ms at d = 8;
+# 0.37 -> 0.33 and 0.36 -> 0.35 ms at d = 10; 0.68 -> 0.53 and 0.66 -> 0.51 ms
+# at d = 20; 4.8 -> 2.0 ms for a coherent state at d = 64), while squeezed,
+# GHZ and Dicke states already gain at d = 6-8 (squeezed 0.26 -> 0.21 ms at
+# d = 8).  A coherent state at d = 320 takes 0.08-0.10 s instead of 1.7 s.
+_RANK_ONE_MIN_D = 10
+
+# rho counts as a a^H / c when ||rho - a a^H / c||_F <= this many eps ||rho||_F.
+# Coherent, squeezed, GHZ and Dicke states read at most 1.6 eps, random and
+# maximally mixed ones at least 0.35 (1.6e15 eps), at d in {2, 3, 17, 64,
+# 65, 200, 320}.
+_RANK_ONE_TOLERANCE = 64
+
+# Rows nu of the rank-one product formed per call: a 32 x 2d buffer, 0.3 MB
+# at d = 320 where a whole (d - ell) x 2d product would take 3.3 MB.  At
+# d = 320, 32 rows took 79 ms per table against 89-93 ms for 16, 64 or 128.
+_RANK_ONE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -144,8 +169,10 @@ def _skew_cells(skew: np.ndarray) -> np.ndarray:
     no cell's.
     """
     d, width = skew.shape[0] - 1, skew.shape[1]
-    flat = skew.ravel()[width + d - 1:]  # rows of width - 1 entries from cell [0, 0]
-    return flat[: d * (width - 1)].reshape(d, width - 1)[:, :d]
+    # Rows width - 1 entries apart from cell [0, 0], as strides: at d = 1 no
+    # reshape into rows of width - 1 = 0 entries would hold the one cell.
+    return np.lib.stride_tricks.as_strided(skew.ravel()[width + d - 1:], shape=(d, d),
+                                           strides=((width - 1) * skew.itemsize, skew.itemsize))
 
 
 class _RowSums:
@@ -171,6 +198,7 @@ class _RowSums:
     def __init__(self, rho: np.ndarray):
         d = rho.shape[0]
         self.rho_t = np.ascontiguousarray(rho.T)
+        self.hermitian = np.array_equal(self.rho_t, self.rho_t.conj().T)
         seen = np.zeros((d + 1, 2 * d - 1), dtype=bool)
         _skew_cells(seen)[...] = self.rho_t != 0
         self.columns = np.flatnonzero(seen.any(axis=0))  # skew columns k + d - 1 to sum
@@ -217,7 +245,7 @@ def accumulate_row(rho, k_matrix: np.ndarray) -> np.ndarray:
     """All phi-frequency coefficients carried by one K matrix.
 
     Returns the length-(4J+1) vector with entries
-    sum_lambda rho_{lambda+m, lambda} [K]_{lambda, lambda+m}, m ascending.
+    sum_lambda rho_{lambda, lambda+m} [K]_{lambda+m, lambda}, m ascending.
     ``rho`` is a density matrix or the ``_RowSums`` that ``_fill_table``
     prepares from one once per table.
     """
@@ -304,7 +332,7 @@ def _fill_table(rho, dim: SpinDimension, s: float,
     """
     two_j = dim.two_j
     prepared = rho if isinstance(rho, _RowSums) else _RowSums(rho)
-    hermitian = np.array_equal(prepared.rho_t, prepared.rho_t.conj().T)
+    hermitian = prepared.hermitian
     coeffs = np.zeros((2 * two_j + 1, 2 * two_j + 1), dtype=complex)
 
     def fill(ell: int, rows: _RowSums) -> None:
@@ -321,11 +349,21 @@ def _fill_table(rho, dim: SpinDimension, s: float,
         for ell in ells:
             fill(ell, prepared)
     if hermitian:
-        row0 = coeffs[two_j]
-        np.conjugate(row0[:two_j:-1], out=row0[:two_j])
-        row0[two_j] = row0[two_j].real
-        np.conjugate(coeffs[:two_j:-1, ::-1], out=coeffs[:two_j])
+        _mirror_hermitian(coeffs)
     return FourierTable(dim=dim, s=s, coeffs=coeffs)
+
+
+def _mirror_hermitian(coeffs: np.ndarray) -> None:
+    """Make a table exactly conjugate-symmetric, F_{-ell,-m} = conj(F_{ell m}), in place.
+
+    Rows ell < 0 become conjugated, reversed copies of rows ell > 0, row 0's
+    m < 0 half the mirror of its m > 0 half, and F_00 its real part.
+    """
+    two_j = coeffs.shape[0] // 2
+    row0 = coeffs[two_j]
+    np.conjugate(row0[:two_j:-1], out=row0[:two_j])
+    row0[two_j] = row0[two_j].real
+    np.conjugate(coeffs[:two_j:-1, ::-1], out=coeffs[:two_j])
 
 
 def _support_lattice(rho: np.ndarray) -> slice:
@@ -340,17 +378,78 @@ def _support_lattice(rho: np.ndarray) -> slice:
     return slice(int(levels[0]), int(levels[-1]) + 1, max(stride, 1))
 
 
+def _rank_one_factor(rho: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """(a, c) with rho = a a^H / c to _RANK_ONE_TOLERANCE eps ||rho||_F, else None.
+
+    For an exactly Hermitian rho: a is the column j of its largest |rho_jj|
+    and c = rho_jj, which is real.  Substituting a a^H / c for rho moves each
+    table value by at most _RANK_ONE_TOLERANCE times parity.rounding_bound.
+    """
+    j = int(np.argmax(np.abs(np.diagonal(rho))))
+    c = float(rho[j, j].real)
+    if c == 0.0:
+        return None
+    a = rho[:, j]
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge rho is no match
+        residual = np.outer(a, a.conj() / c)
+        residual -= rho
+        bound = _RANK_ONE_TOLERANCE * np.finfo(float).eps * np.linalg.norm(rho)
+        if not np.linalg.norm(residual) <= bound < np.inf:
+            return None
+    return a, c
+
+
+def _rank_one_table(a: np.ndarray, c: float, u: np.ndarray, mtilde: np.ndarray) -> np.ndarray:
+    """Exactly conjugate-symmetric coefficient array of rho = a a^H / c, without any K_ell.
+
+    Row ell entry m is sum_i rho[i, i+m] K_ell[i+m, i]
+    = sum_nu w_nu sum_i A[nu+ell, i] B[nu, i+m] with w = diag(Mtilde, ell),
+    A = a conj(U) and B = conj(a) U / c over the levels i: per nu a
+    correlation over i, so a product of length-2d transforms (long enough
+    that no m wraps around) at each frequency.  Rows ell >= 0 are computed
+    so, their sums over nu formed a chunk of nu at a time, and the rest are
+    mirrored as in ``_fill_table``: O(d^3) time, O(d^2) memory.
+    """
+    d = a.size
+    n = 2 * d
+    # Row nu of each is basis vector nu, column f its frequency f.
+    a_hat = np.fft.ifft((u.conj() * a[:, None]).T, n, axis=1, norm="forward")
+    b_hat = np.fft.fft((u * (a.conj() / c)[:, None]).T, n, axis=1)
+    sums = np.empty((d, n), dtype=complex)
+    product = np.empty((min(d, _RANK_ONE_CHUNK), n), dtype=complex)
+    for ell in range(d):
+        w = np.diagonal(mtilde, ell)
+        for lo in range(0, d - ell, _RANK_ONE_CHUNK):
+            hi = min(d - ell, lo + _RANK_ONE_CHUNK)
+            chunk = np.multiply(a_hat[ell + lo:ell + hi], b_hat[lo:hi], out=product[:hi - lo])
+            if lo == 0:
+                np.matmul(w[:hi], chunk, out=sums[ell])
+            else:
+                sums[ell] += w[lo:hi] @ chunk
+    del a_hat, b_hat, product
+    rows = np.fft.ifft(sums, axis=1)  # entry m at m mod n
+    del sums
+    coeffs = np.empty((2 * d - 1, 2 * d - 1), dtype=complex)
+    coeffs[d - 1:, d - 1:] = rows[:, :d]
+    coeffs[d - 1:, :d - 1] = rows[:, d + 1:]
+    _mirror_hermitian(coeffs)
+    return coeffs
+
+
 def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> FourierTable:
     """Fourier coefficients with K matrices built on the fly and discarded.
 
     O(d^4) time for a general rho, O(d^2) memory: one K matrix exists at a
     time.  A rho whose nonzero diagonals hold E <= d^2 / _EINSUM_PER_ZGEMM
     cells has only those diagonals of each K_ell built, in O(E d^2) time:
-    O(d^3) for Dicke and GHZ states.  Any other rho whose nonzero rows and
-    columns all lie on a lattice T = a, a+p, ..., b of 1 < |T| < d levels
-    (a parity-conserving squeezed state: p = 2) is computed as the smaller
-    rho[T, T] with K_ell[T, T], in O(|T|^2 d^2) time; its row entry m'
-    is phi frequency p m'.  A one-level T takes the full build.
+    O(d^3) for Dicke and GHZ states.  Any other exactly Hermitian rho of
+    at least _RANK_ONE_MIN_D levels that is a a^H / c to rounding (a pure
+    state) builds no K_ell: ``_rank_one_table`` gets its rows from two FFTs
+    in O(d^3) time.  Any other rho whose nonzero rows and columns all lie
+    on a lattice T = a, a+p, ..., b of |T| < d levels (a parity-conserving
+    squeezed state: p = 2) is computed as the smaller rho[T, T] with
+    K_ell[T, T], in O(|T|^2 d^2) time; its row entry m' is phi frequency
+    p m'.
     """
     dim = parity.dim
     rho = as_density_matrix(rho, dim)
@@ -362,10 +461,13 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     cells = int(np.sum(d - np.abs(rows.offsets)))
     if cells * _EINSUM_PER_ZGEMM <= d * d:
         return _fill_table(rows, dim, parity.s, _k_diagonals(u, mtilde, rows.offsets))
+    factor = _rank_one_factor(rho) if rows.hermitian and d >= _RANK_ONE_MIN_D else None
+    if factor is not None:
+        return FourierTable(dim=dim, s=parity.s, coeffs=_rank_one_table(*factor, u, mtilde))
     levels = _support_lattice(rho)
     size = len(range(d)[levels])
     columns = slice(None)
-    if 1 < size < d:
+    if size < d:
         rows = _RowSums(rho[levels, levels])
         u = u[levels]
         reach = levels.step * (size - 1)  # largest phi frequency rho[T, T] carries

@@ -244,6 +244,24 @@ def test_cli_commands_load_no_scipy(tmp_path, argv):
     assert result.stdout.splitlines()[-1] == "0 []"
 
 
+def test_rank_one_table_loads_no_scipy(tmp_path):
+    # Method c's rank-one path transforms with np.fft alone, and builds no K.
+    probe = ("import sys\n"
+             "from spinphase import fourier\n"
+             "from spinphase.cli import main\n"
+             "def refused(*args):\n"
+             "    raise AssertionError('K built')\n"
+             "fourier._k_matrix = fourier._k_diagonals = refused\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, 'scipy' in sys.modules)\n")
+    args = ["compute", "--state", "coherent", "--param", "theta0=0.7", "--param", "phi0=1.9",
+            "--dim", "40", "--n", "80", "--method", "c", "--format", "bin",
+            "--out", str(tmp_path / "g.bin")]
+    result = subprocess.run([sys.executable, "-c", probe, *args], env=_child_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
 @pytest.mark.parametrize("state, param, name", [
     ("squeezed", "xi=inf", "xi"),
     ("squeezed", "xi=1e308", "xi"),

@@ -766,24 +766,40 @@ def _hermitian_pure(psi):
     return (rho + rho.conj().T) / 2  # exactly Hermitian: x + conj(y) is commutative
 
 
+def _random_on(rng, d, levels):
+    """A random vector that is nonzero exactly on ``levels``."""
+    psi = np.zeros(d, dtype=complex)
+    psi[levels] = rng.standard_normal(len(levels)) + 1j * rng.standard_normal(len(levels))
+    return psi
+
+
+def _interior_block(d):
+    return np.arange(min(3, d // 4), d - min(4, d // 4))  # levels 3..d-5 from d = 16
+
+
 def _lattice_inputs(dim):
-    """name -> (rho, |T| of the levels method c should compute it on)."""
+    """name -> (rho, |T| of the levels method c should compute it on).
+
+    The Hermitian ones are rank-two mixtures: a pure rho of _RANK_ONE_MIN_D
+    or more levels takes the rank-one path instead (its pure versions are in
+    ``_rank_one_inputs``).
+    """
     d = dim.d
     rng = np.random.default_rng(d)
 
-    def on(levels):
-        psi = np.zeros(d, dtype=complex)
-        psi[levels] = rng.standard_normal(len(levels)) + 1j * rng.standard_normal(len(levels))
-        return psi
+    def mixture(levels):
+        return _hermitian_pure(_random_on(rng, d, levels)) + _hermitian_pure(
+            _random_on(rng, d, levels))
 
-    block = np.arange(min(3, d // 4), d - min(4, d // 4))  # levels 3..d-5 from d = 16
+    block = _interior_block(d)
     zero_level = random_density(dim, d)
     zero_level[5, :] = zero_level[:, 5] = 0.0
     return {
-        "squeezed": (squeezed(dim, 0.3), (d + 1) // 2),
-        "stride 3": (_hermitian_pure(on(np.arange(1, d, 3))), len(range(1, d, 3))),
-        "interior block": (_hermitian_pure(on(block)), block.size),
-        "|a><b| even": (np.outer(on(np.arange(0, d, 2)), on(np.arange(2, d, 2)).conj()),
+        "squeezed mixture": ((squeezed(dim, 0.3) + squeezed(dim, 0.7)) / 2, (d + 1) // 2),
+        "stride 3": (mixture(np.arange(1, d, 3)), len(range(1, d, 3))),
+        "interior block": (mixture(block), block.size),
+        "|a><b| even": (np.outer(_random_on(rng, d, np.arange(0, d, 2)),
+                                 _random_on(rng, d, np.arange(2, d, 2)).conj()),
                         (d + 1) // 2),
         "zero level 5": (zero_level, d),  # p = 1: the full build
     }
@@ -813,11 +829,22 @@ def test_lattice_k_build_matches_tables_from_full_k(d, s, monkeypatch):
         assert set(rows_seen) == {(size, d)}, name
 
 
+def test_one_level_row_sums_its_one_cell():
+    # The skew view of a 1 x 1 rho holds its one cell, rho[0, 0] K[0, 0].
+    from spinphase.fourier import _RowSums, accumulate_row
+
+    assert accumulate_row(np.ones((1, 1)), np.full((1, 1), 2)).tolist() == [2]
+    rho, k = np.full((1, 1), 3.0 - 1.0j), np.full((1, 1), 0.5 + 2.0j)
+    prepared = _RowSums(rho)
+    for _ in range(2):  # the skew buffer is reused row after row
+        assert accumulate_row(prepared, k).tobytes() == (rho * k).ravel().tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("s", [-1.0, 0.0, 0.5])
 def test_one_level_states_match_direct_grid(d, s):
-    # A one-level lattice (a Dicke state below the few-diagonal size) takes
-    # the full build: a 1 x 1 _RowSums has no skew cell to sum.
+    # A one-level lattice (a Dicke state below the few-diagonal and rank-one
+    # sizes) is computed on its one level, as a 1 x 1 _RowSums.
     dim = SpinDimension.from_d(d)
     parity = build_parity(dim, s)
     n = minimal_grid_size(dim)
@@ -835,3 +862,89 @@ def test_criterion_6_states_have_full_support(d):
 
     rho = random_density(SpinDimension.from_d(d), SEED)
     assert fourier._support_lattice(rho) == slice(0, d, 1)
+
+
+def test_criterion_6_states_are_not_rank_one():
+    # Criterion 6 times method c on random_density(dim, SEED): the rank-one
+    # path must never take it over.
+    from spinphase.bench import SEED
+
+    for d in (50, 100, 200, 400):
+        assert fourier._rank_one_factor(random_density(SpinDimension.from_d(d), SEED)) is None
+
+
+# Method c computes an exactly Hermitian rho = a a^H / c of _RANK_ONE_MIN_D
+# or more levels from two FFTs, with no K_ell.
+
+def _rank_one_inputs(dim):
+    d = dim.d
+    rng = np.random.default_rng(d + 1)
+    psi = _random_on(rng, d, np.arange(d))
+    inputs = {
+        "coherent": coherent(dim, 0.7, 1.9),
+        "squeezed": squeezed(dim, 0.3),
+        "pure": _hermitian_pure(psi),
+        "-pure": -_hermitian_pure(psi),
+        "stride 3": _hermitian_pure(_random_on(rng, d, np.arange(1, d, 3))),
+        "interior block": _hermitian_pure(_random_on(rng, d, _interior_block(d))),
+        "ghz": ghz(dim),
+        "dicke": dicke(dim, dim.j - 1),
+    }
+    # The few-diagonal check runs first: GHZ and Dicke from d = 32-34.
+    return {name: rho for name, rho in inputs.items()
+            if _cells(rho) * fourier._EINSUM_PER_ZGEMM > d * d}
+
+
+@pytest.mark.parametrize("d, s", [(d, s) for d in (fourier._RANK_ONE_MIN_D,
+                                                   fourier._RANK_ONE_MIN_D + 1, 34, 64, 65)
+                                  for s in (-1.0, 0.0, 0.5)]
+                         + [(257, -1.0), (320, 0.0)])
+def test_rank_one_tables_match_tables_from_full_k(d, s, monkeypatch):
+    dim = SpinDimension.from_d(d)
+    inputs = _rank_one_inputs(dim)
+    assert ("ghz" in inputs) == (d < 34)
+    references = _full_k_tables(list(inputs.values()), dim, s)
+
+    def refused(*args):
+        raise AssertionError("a rank-one rho needs no K_ell and no row sums")
+
+    for name in ("_k_matrix", "_k_diagonals", "accumulate_row"):
+        monkeypatch.setattr(fourier, name, refused)
+    parity = build_parity(dim, s)
+    for (name, rho), reference in zip(inputs.items(), references):
+        table = fourier_coefficients_method_c(rho, parity).coeffs
+        _assert_matches_full_k(table, reference, rho, parity, name)
+        assert np.array_equal(table, np.conj(table[::-1, ::-1])), name
+
+
+def test_method_c_keeps_its_k_builds_for_all_but_hermitian_rank_one_rho(monkeypatch):
+    dim = SpinDimension.from_d(40)
+    rng = np.random.default_rng(40)
+    psi, phi = (_random_on(rng, dim.d, np.arange(dim.d)) for _ in range(2))
+    pure = _hermitian_pure(psi)
+    nudged = pure.copy()
+    nudged[0, 1] = np.nextafter(nudged[0, 1].real, np.inf) + 1j * nudged[0, 1].imag
+    inputs = {
+        "rank two": pure + _hermitian_pure(phi),
+        "rank two, 1e-9 of it": pure + 1e-9 * _hermitian_pure(phi),
+        "pure, one ulp off Hermitian": nudged,
+        "|a><b|": np.outer(psi, phi.conj()),
+    }
+    calls = []
+    k_matrix = fourier._k_matrix
+
+    def counted(*args):
+        calls.append(args[2])
+        return k_matrix(*args)
+
+    def refused(*args):
+        raise AssertionError("only an exactly Hermitian rank-one rho skips K")
+
+    monkeypatch.setattr(fourier, "_k_matrix", counted)
+    monkeypatch.setattr(fourier, "_rank_one_table", refused)
+    parity = build_parity(dim, 0.0)
+    for name, rho in inputs.items():
+        calls.clear()
+        fourier_coefficients_method_c(rho, parity)
+        hermitian = np.array_equal(rho, rho.conj().T)
+        assert len(calls) == (dim.two_j + 1 if hermitian else 2 * dim.two_j + 1), name

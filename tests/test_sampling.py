@@ -361,14 +361,16 @@ def test_built_in_families_give_exactly_real_grids(s, tmp_path):
     from spinphase.kcache import fourier_coefficients_method_d, precompute_cache
     from spinphase.states import coherent, ghz, squeezed
 
-    dim = SpinDimension.from_d(9)
-    cache = precompute_cache(dim, s, tmp_path)
-    parity = build_parity(dim, s)
-    families = [ghz(dim), dicke(dim, 0.0), squeezed(dim, 0.05), coherent(dim, 0.7, 1.9),
-                maximally_mixed(dim), random_density(dim, 4)]
-    for rho in families:
-        for table in (fourier_coefficients_method_c(rho, parity),
-                      fourier_coefficients_method_d(rho, cache)):
-            for t in (table, derivative_coefficients(table, "theta"),
-                      derivative_coefficients(table, "phi")):
-                assert not sample_fft(t, 24).values.imag.any()
+    # d = 24: method c computes the pure families by its rank-one path.
+    for d, n in ((9, 24), (24, 48)):
+        dim = SpinDimension.from_d(d)
+        cache = precompute_cache(dim, s, tmp_path / str(d))
+        parity = build_parity(dim, s)
+        families = [ghz(dim), dicke(dim, dim.j % 1), squeezed(dim, 0.05),
+                    coherent(dim, 0.7, 1.9), maximally_mixed(dim), random_density(dim, 4)]
+        for rho in families:
+            for table in (fourier_coefficients_method_c(rho, parity),
+                          fourier_coefficients_method_d(rho, cache)):
+                for t in (table, derivative_coefficients(table, "theta"),
+                          derivative_coefficients(table, "phi")):
+                    assert not sample_fft(t, n).values.imag.any()
