@@ -83,16 +83,17 @@ def cg_families(two_j1: int, two_j2: int, two_m1, two_m2):
     down = _sweep(t[::-1], dvec[::-1], m1)[::-1]
     up = _sweep(t, dvec, m1)
 
-    # Join the sweeps where both carry signal, keeping each on its stable side.
+    # Join the sweeps where both carry signal, keeping each on its stable side
+    # and scaling each by its own value at the pivot row: the ratio of the
+    # two values can leave double range.
     score = np.abs(down) * np.abs(up)
     pivot = np.argmax(score, axis=0)
     cols = np.arange(n_fam)
-    up_at = up[pivot, cols]
-    down_at = down[pivot, cols]
-    safe = np.abs(up_at) > 0
-    ratio = np.where(safe, down_at / np.where(safe, up_at, 1.0), 1.0)
-    combined = np.array(down)
-    np.multiply(up, ratio, out=combined, where=np.arange(n_j)[:, None] < pivot)
+    below = np.arange(n_j)[:, None] < pivot
+    combined = np.empty_like(up)
+    for sweep, rows in ((up, below), (down, ~below)):
+        at = sweep[pivot, cols]
+        np.divide(sweep, np.where(at != 0, at, 1.0), out=combined, where=rows)
 
     # Normalize in two stages so squaring cannot overflow the sweeps'
     # dynamic range, then fix the sign of the stretched coefficient.

@@ -9,13 +9,10 @@ which lays rho out once per table and then, per K_ell, forms only the
 products on rho's nonzero diagonals and sums each diagonal in a fixed
 order (``_RowSums``).  Method c builds each K_ell as one d x d product, or,
 when rho's nonzero diagonals hold few cells (Dicke, GHZ), only those
-diagonals of it, or, when rho's nonzero rows and columns lie on a lattice
-of levels a, a+p, ..., b (a squeezed state's even levels), only the cells
-between those levels, as one smaller product.  An exactly Hermitian rank-one
-rho (a pure state) of at least _RANK_ONE_MIN_D levels needs no K_ell at
-all: method c gets its rows from two FFTs over the levels
-(``_rank_one_table``).  Method d's loop runs on two threads when the process
-may use two CPUs; method c's stays on one.
+diagonals of it.  An exactly Hermitian rank-one rho (a pure state) of at
+least _RANK_ONE_MIN_D levels needs no K_ell at all: method c gets its rows
+from two FFTs over the levels (``_rank_one_table``).  Method d's loop runs
+on two threads when the process may use two CPUs; method c's stays on one.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ _EINSUM_PER_ZGEMM = 32
 
 # Method c takes an exactly Hermitian rho = a a^H / c from ``_rank_one_table``
 # (O(d^3)) instead of building its K_ell from this many levels up.  Per table
-# against the lattice or full build (2-vCPU VM, numpy 2.4, OpenBLAS on one
+# against the K build it replaced (2-vCPU VM, numpy 2.4, OpenBLAS on one
 # thread, medians of 7-9 alternating rounds), coherent and random pure states
 # break even at d = 9-10 (0.23 -> 0.25 ms and 0.26 -> 0.26 ms at d = 8;
 # 0.37 -> 0.33 and 0.36 -> 0.35 ms at d = 10; 0.68 -> 0.53 and 0.66 -> 0.51 ms
@@ -102,14 +99,10 @@ class FourierTable:
 
 
 def _k_matrix(u: np.ndarray, mtilde: np.ndarray, ell: int) -> np.ndarray:
-    """K_ell = sum_nu [Mtilde]_{nu, nu+ell} |U_nu><U_{nu+ell}| as a dense array.
-
-    ``u`` may hold only some rows i of the basis vectors; K_ell then holds
-    just the cells [i, i'] between them.
-    """
-    rows, d = u.shape
+    """K_ell = sum_nu [Mtilde]_{nu, nu+ell} |U_nu><U_{nu+ell}| as a dense array."""
+    d = u.shape[0]
     if abs(ell) >= d:
-        return np.zeros((rows, rows), dtype=complex)
+        return np.zeros((d, d), dtype=complex)
     w = np.diagonal(mtilde, ell)
     if ell >= 0:
         left = u[:, : d - ell]
@@ -169,10 +162,8 @@ def _skew_cells(skew: np.ndarray) -> np.ndarray:
     no cell's.
     """
     d, width = skew.shape[0] - 1, skew.shape[1]
-    # Rows width - 1 entries apart from cell [0, 0], as strides: at d = 1 no
-    # reshape into rows of width - 1 = 0 entries would hold the one cell.
-    return np.lib.stride_tricks.as_strided(skew.ravel()[width + d - 1:], shape=(d, d),
-                                           strides=((width - 1) * skew.itemsize, skew.itemsize))
+    flat = skew.ravel()[width + d - 1:]  # rows of width - 1 entries from cell [0, 0]
+    return flat[: d * (width - 1)].reshape(d, width - 1)[:, :d]
 
 
 class _RowSums:
@@ -301,13 +292,11 @@ def _on_two_threads(ells: range, fill: Callable[[int, _RowSums], None],
 def _fill_table(rho, dim: SpinDimension, s: float,
                 k_of_ell: Callable[[int], np.ndarray],
                 on_mirrored: Callable[[int], object] | None = None,
-                two_threads: bool = False, columns: slice = slice(None)) -> FourierTable:
+                two_threads: bool = False) -> FourierTable:
     """Table whose row ell is accumulate_row(rho, k_of_ell(ell)), for methods c and d.
 
     ``rho`` is a density matrix or the ``_RowSums`` prepared from one, which
-    the table then uses instead of preparing its own.  Each accumulated row
-    is written into ``columns`` of its table row and the rest stays +0.0, so
-    a rho of fewer levels than d fills the phi frequencies it carries.
+    the table then uses instead of preparing its own.
 
     An exactly Hermitian rho has a real phase-space function, so
     F_{-ell,-m} = conj(F_{ell m}): only the rows ell >= 0 are accumulated and
@@ -340,7 +329,7 @@ def _fill_table(rho, dim: SpinDimension, s: float,
             if on_mirrored is not None:
                 on_mirrored(ell)
         else:
-            coeffs[ell + two_j, columns] = accumulate_row(rows, k_of_ell(ell))
+            coeffs[ell + two_j] = accumulate_row(rows, k_of_ell(ell))
 
     ells = range(-two_j, two_j + 1)
     if two_threads and _usable_cpus() >= 2:
@@ -364,18 +353,6 @@ def _mirror_hermitian(coeffs: np.ndarray) -> None:
     np.conjugate(row0[:two_j:-1], out=row0[:two_j])
     row0[two_j] = row0[two_j].real
     np.conjugate(coeffs[:two_j:-1, ::-1], out=coeffs[:two_j])
-
-
-def _support_lattice(rho: np.ndarray) -> slice:
-    """Smallest slice a:b+1:p whose levels hold every nonzero row and column of rho.
-
-    The full slice for a rho with no nonzero entry.
-    """
-    levels = np.flatnonzero(rho.any(axis=0) | rho.any(axis=1))
-    if levels.size == 0:
-        return slice(0, rho.shape[0], 1)
-    stride = int(np.gcd.reduce(levels - levels[0]))  # 0 for one level
-    return slice(int(levels[0]), int(levels[-1]) + 1, max(stride, 1))
 
 
 def _rank_one_factor(rho: np.ndarray) -> tuple[np.ndarray, float] | None:
@@ -445,11 +422,7 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     O(d^3) for Dicke and GHZ states.  Any other exactly Hermitian rho of
     at least _RANK_ONE_MIN_D levels that is a a^H / c to rounding (a pure
     state) builds no K_ell: ``_rank_one_table`` gets its rows from two FFTs
-    in O(d^3) time.  Any other rho whose nonzero rows and columns all lie
-    on a lattice T = a, a+p, ..., b of |T| < d levels (a parity-conserving
-    squeezed state: p = 2) is computed as the smaller rho[T, T] with
-    K_ell[T, T], in O(|T|^2 d^2) time; its row entry m' is phi frequency
-    p m'.
+    in O(d^3) time.  Every other rho takes the full build.
     """
     dim = parity.dim
     rho = as_density_matrix(rho, dim)
@@ -464,16 +437,7 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     factor = _rank_one_factor(rho) if rows.hermitian and d >= _RANK_ONE_MIN_D else None
     if factor is not None:
         return FourierTable(dim=dim, s=parity.s, coeffs=_rank_one_table(*factor, u, mtilde))
-    levels = _support_lattice(rho)
-    size = len(range(d)[levels])
-    columns = slice(None)
-    if size < d:
-        rows = _RowSums(rho[levels, levels])
-        u = u[levels]
-        reach = levels.step * (size - 1)  # largest phi frequency rho[T, T] carries
-        columns = slice(d - 1 - reach, d + reach, levels.step)
-    return _fill_table(rows, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell),
-                       columns=columns)
+    return _fill_table(rows, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell))
 
 
 def derivative_coefficients(table: FourierTable, variable: str) -> FourierTable:

@@ -82,6 +82,16 @@ def test_large_family_stays_normalized():
     assert fam[-1, 0] > 0
 
 
+def test_bands_at_d_1000_are_finite_and_orthonormal():
+    # At these orders the two sweeps' values at the pivot row are more than
+    # double range apart.
+    dim = SpinDimension.from_d(1000)
+    for m in (35, 40, 42, 43, 61, 75, 78):
+        bands = tensor_bands(dim, m)
+        assert np.all(np.isfinite(bands)), m
+        assert np.abs(bands @ bands.T - np.eye(len(bands))).max() < 1e-13, m
+
+
 def test_tensor_zero_rank_is_scaled_identity():
     for d in (2, 5, 12):
         dim = SpinDimension.from_d(d)

@@ -489,11 +489,7 @@ def test_running_sums_start_from_positive_zero(d):
 
 
 def _reference_table(monkeypatch, build, rho):
-    """The table ``build`` makes when every row comes from the reference formula.
-
-    Each row is formed from the rho the route prepared: method c hands a rho
-    on a lattice of levels over as its smaller rho[T, T].
-    """
+    """The table ``build`` makes when every row comes from the reference formula."""
     with monkeypatch.context() as patch:
         patch.setattr(fourier, "accumulate_row",
                       lambda prepared, k: _reference_row(prepared.rho_t.T, k))
@@ -758,9 +754,6 @@ def test_method_c_and_d_agree_on_dicke_and_ghz(d, tmp_path):
         shutil.rmtree(cache.directory)  # 540 MB at d = 257
 
 
-# Method c computes a rho whose nonzero rows and columns lie on a lattice T
-# of 1 < |T| < d levels as rho[T, T] with K_ell[T, T].
-
 def _hermitian_pure(psi):
     rho = np.outer(psi, psi.conj())
     return (rho + rho.conj().T) / 2  # exactly Hermitian: x + conj(y) is commutative
@@ -777,74 +770,10 @@ def _interior_block(d):
     return np.arange(min(3, d // 4), d - min(4, d // 4))  # levels 3..d-5 from d = 16
 
 
-def _lattice_inputs(dim):
-    """name -> (rho, |T| of the levels method c should compute it on).
-
-    The Hermitian ones are rank-two mixtures: a pure rho of _RANK_ONE_MIN_D
-    or more levels takes the rank-one path instead (its pure versions are in
-    ``_rank_one_inputs``).
-    """
-    d = dim.d
-    rng = np.random.default_rng(d)
-
-    def mixture(levels):
-        return _hermitian_pure(_random_on(rng, d, levels)) + _hermitian_pure(
-            _random_on(rng, d, levels))
-
-    block = _interior_block(d)
-    zero_level = random_density(dim, d)
-    zero_level[5, :] = zero_level[:, 5] = 0.0
-    return {
-        "squeezed mixture": ((squeezed(dim, 0.3) + squeezed(dim, 0.7)) / 2, (d + 1) // 2),
-        "stride 3": (mixture(np.arange(1, d, 3)), len(range(1, d, 3))),
-        "interior block": (mixture(block), block.size),
-        "|a><b| even": (np.outer(_random_on(rng, d, np.arange(0, d, 2)),
-                                 _random_on(rng, d, np.arange(2, d, 2)).conj()),
-                        (d + 1) // 2),
-        "zero level 5": (zero_level, d),  # p = 1: the full build
-    }
-
-
-@pytest.mark.parametrize("d, s", [(d, s) for d in (7, 34, 64, 65) for s in (-1.0, 0.0, 0.5)]
-                         + [(257, -1.0), (320, 0.0)])
-def test_lattice_k_build_matches_tables_from_full_k(d, s, monkeypatch):
-    dim = SpinDimension.from_d(d)
-    inputs = _lattice_inputs(dim)
-    references = _full_k_tables([rho for rho, _ in inputs.values()], dim, s)
-    rows_seen = []
-    k_matrix = fourier._k_matrix
-
-    def counted(u, mtilde, ell):
-        rows_seen.append(u.shape)
-        return k_matrix(u, mtilde, ell)
-
-    monkeypatch.setattr(fourier, "_k_matrix", counted)
-    parity = build_parity(dim, s)
-    for (name, (rho, size)), reference in zip(inputs.items(), references):
-        rows_seen.clear()
-        table = fourier_coefficients_method_c(rho, parity).coeffs
-        _assert_matches_full_k(table, reference, rho, parity, name)
-        hermitian = np.array_equal(rho, rho.conj().T)
-        assert len(rows_seen) == (dim.two_j + 1 if hermitian else 2 * dim.two_j + 1), name
-        assert set(rows_seen) == {(size, d)}, name
-
-
-def test_one_level_row_sums_its_one_cell():
-    # The skew view of a 1 x 1 rho holds its one cell, rho[0, 0] K[0, 0].
-    from spinphase.fourier import _RowSums, accumulate_row
-
-    assert accumulate_row(np.ones((1, 1)), np.full((1, 1), 2)).tolist() == [2]
-    rho, k = np.full((1, 1), 3.0 - 1.0j), np.full((1, 1), 0.5 + 2.0j)
-    prepared = _RowSums(rho)
-    for _ in range(2):  # the skew buffer is reused row after row
-        assert accumulate_row(prepared, k).tobytes() == (rho * k).ravel().tobytes()
-
-
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 @pytest.mark.parametrize("s", [-1.0, 0.0, 0.5])
 def test_one_level_states_match_direct_grid(d, s):
-    # A one-level lattice (a Dicke state below the few-diagonal and rank-one
-    # sizes) is computed on its one level, as a 1 x 1 _RowSums.
+    # Dicke states below the few-diagonal and rank-one sizes take the full build.
     dim = SpinDimension.from_d(d)
     parity = build_parity(dim, s)
     n = minimal_grid_size(dim)
@@ -852,16 +781,6 @@ def test_one_level_states_match_direct_grid(d, s):
         rho = dicke(dim, m)
         grid = sample_fft(fourier_coefficients_method_c(rho, parity), n).values
         assert np.abs(grid - direct_grid(rho, parity, n).values).max() < 1e-12, m
-
-
-@pytest.mark.parametrize("d", [50, 100, 200, 400])
-def test_criterion_6_states_have_full_support(d):
-    # Criterion 6 times method c on random_density(dim, SEED): the lattice
-    # path must never shrink it.
-    from spinphase.bench import SEED
-
-    rho = random_density(SpinDimension.from_d(d), SEED)
-    assert fourier._support_lattice(rho) == slice(0, d, 1)
 
 
 def test_criterion_6_states_are_not_rank_one():
@@ -924,18 +843,22 @@ def test_method_c_keeps_its_k_builds_for_all_but_hermitian_rank_one_rho(monkeypa
     pure = _hermitian_pure(psi)
     nudged = pure.copy()
     nudged[0, 1] = np.nextafter(nudged[0, 1].real, np.inf) + 1j * nudged[0, 1].imag
+    even = np.arange(0, dim.d, 2)
     inputs = {
         "rank two": pure + _hermitian_pure(phi),
         "rank two, 1e-9 of it": pure + 1e-9 * _hermitian_pure(phi),
         "pure, one ulp off Hermitian": nudged,
         "|a><b|": np.outer(psi, phi.conj()),
+        "squeezed mixture": (squeezed(dim, 0.3) + squeezed(dim, 0.7)) / 2,
+        "|a><b| on even levels": np.outer(_random_on(rng, dim.d, even),
+                                          _random_on(rng, dim.d, even).conj()),
     }
     calls = []
     k_matrix = fourier._k_matrix
 
-    def counted(*args):
-        calls.append(args[2])
-        return k_matrix(*args)
+    def counted(u, mtilde, ell):
+        calls.append(u.shape[0])
+        return k_matrix(u, mtilde, ell)
 
     def refused(*args):
         raise AssertionError("only an exactly Hermitian rank-one rho skips K")
@@ -948,3 +871,4 @@ def test_method_c_keeps_its_k_builds_for_all_but_hermitian_rank_one_rho(monkeypa
         fourier_coefficients_method_c(rho, parity)
         hermitian = np.array_equal(rho, rho.conj().T)
         assert len(calls) == (dim.two_j + 1 if hermitian else 2 * dim.two_j + 1), name
+        assert set(calls) == {dim.d}, name  # every K_ell over all d levels
