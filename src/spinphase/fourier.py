@@ -7,12 +7,15 @@ K_ell couples one theta frequency to every phi frequency through the
 diagonals of the density matrix.  Methods c and d share ``_fill_table``,
 which lays rho out once per table and then, per K_ell, forms only the
 products on rho's nonzero diagonals and sums each diagonal in a fixed
-order (``_RowSums``).  Method c builds each K_ell as one d x d product, or,
-when rho's nonzero diagonals hold few cells (Dicke, GHZ), only those
-diagonals of it.  An exactly Hermitian rank-one rho (a pure state) of at
-least _RANK_ONE_MIN_D levels needs no K_ell at all: method c gets its rows
-from two FFTs over the levels (``_rank_one_table``).  Method d's loop runs
-on two threads when the process may use two CPUs; method c's stays on one.
+order (``_RowSums``).  Method c builds each K_ell as one d x d product
+unless rho allows a path with no K_ell.  When rho's nonzero diagonals hold
+few cells (Dicke, GHZ), each such diagonal m is one BLAS product whose
+diagonal sums, by the same ``_RowSums`` with Mtilde in rho's place, are
+column m of the table (``_few_diagonal_table``).  An exactly Hermitian
+rank-one rho (a pure state) of at least _RANK_ONE_MIN_D levels gets its
+rows from two FFTs over the levels (``_rank_one_table``).  Method d's loop
+runs on two threads when the process may use two CPUs; method c's stays
+on one.
 """
 
 from __future__ import annotations
@@ -45,13 +48,15 @@ _PAIRWISE_THRESHOLD = 256
 # products formed one diagonal per call instead of in one d x d call.
 _ENTRIES_PER_CALL = 1024
 
-# A complex multiply-add in np.einsum's sum-of-products loop costs about this
-# many times one in zgemm with BLAS on one thread, so method c builds only
-# rho's nonzero diagonals of each K_ell once they hold at most
-# d^2 / _EINSUM_PER_ZGEMM cells.  Measured on banded random states (2-vCPU
-# VM, numpy 2.4, OpenBLAS), the diagonal build wins below cells / d^2 = 0.028
-# and loses above 0.040 at d = 320; at d = 64 it wins at 0.016, loses at 0.046.
-_EINSUM_PER_ZGEMM = 32
+# Method c takes a rho whose nonzero diagonals hold at most d^2 /
+# _FEW_DIAGONAL_GATE cells one product per diagonal (``_few_diagonal_table``)
+# instead of building every K_ell.  The value is the crossover of the
+# per-diagonal einsum build that path replaced, measured on banded random
+# states (2-vCPU VM, numpy 2.4, OpenBLAS): that build won below cells / d^2 =
+# 0.028 and lost above 0.040 at d = 320.  It is kept so that every input keeps
+# its path; the products cost about 8 d^2 flops per cell against 8 d^4 for the
+# Hermitian half of the full build.
+_FEW_DIAGONAL_GATE = 32
 
 # Method c takes an exactly Hermitian rho = a a^H / c from ``_rank_one_table``
 # (O(d^3)) instead of building its K_ell from this many levels up.  Per table
@@ -113,36 +118,6 @@ def _k_matrix(u: np.ndarray, mtilde: np.ndarray, ell: int) -> np.ndarray:
     return (left * w) @ right.conj().T
 
 
-def _k_diagonals(u: np.ndarray, mtilde: np.ndarray,
-                 offsets: np.ndarray) -> Callable[[int], np.ndarray]:
-    """K_ell of ``_k_matrix`` with only diagonals ``offsets`` filled, one buffer for every ell.
-
-    Diagonal k holds [K_ell]_{i, i+k} = sum_nu left[i, nu] w[nu] conj(right[i+k, nu]),
-    one einsum per diagonal into a view of the buffer; every other entry
-    stays +0.0.  The returned array is overwritten by the next call.
-    """
-    d = u.shape[0]
-    uc = u.conj()
-    buffer = np.zeros((d, d), dtype=complex)
-    flat = buffer.reshape(-1)
-    plans = []
-    for k in map(int, offsets):
-        lo, hi = max(0, -k), min(d, d - k)  # rows i of the cells [i, i+k]
-        plans.append((lo, hi, k, flat[lo * (d + 1) + k::d + 1][:hi - lo]))
-
-    def k_of_ell(ell: int) -> np.ndarray:
-        w = np.diagonal(mtilde, ell)
-        if ell >= 0:
-            left, right_conj = u[:, : d - ell], uc[:, ell:]
-        else:
-            left, right_conj = u[:, -ell:], uc[:, : d + ell]
-        for lo, hi, k, out in plans:
-            np.einsum("iv,v,iv->i", left[lo:hi], w, right_conj[lo + k:hi + k], out=out)
-        return buffer
-
-    return k_of_ell
-
-
 def compute_k(basis: EigenBasis, mtilde: np.ndarray, ell: int) -> np.ndarray:
     """Read-only K_ell for theta frequency ell, from ``transform_parity``'s ``mtilde``.
 
@@ -164,6 +139,14 @@ def _skew_cells(skew: np.ndarray) -> np.ndarray:
     d, width = skew.shape[0] - 1, skew.shape[1]
     flat = skew.ravel()[width + d - 1:]  # rows of width - 1 entries from cell [0, 0]
     return flat[: d * (width - 1)].reshape(d, width - 1)[:, :d]
+
+
+def _nonzero_diagonals(matrix: np.ndarray) -> np.ndarray:
+    """Offsets k, ascending, of the diagonals [i, i+k] of a square matrix that hold a nonzero."""
+    d = matrix.shape[0]
+    seen = np.zeros((d + 1, 2 * d - 1), dtype=bool)
+    _skew_cells(seen)[...] = matrix != 0
+    return np.flatnonzero(seen.any(axis=0)) - (d - 1)
 
 
 class _RowSums:
@@ -190,10 +173,8 @@ class _RowSums:
         d = rho.shape[0]
         self.rho_t = np.ascontiguousarray(rho.T)
         self.hermitian = np.array_equal(self.rho_t, self.rho_t.conj().T)
-        seen = np.zeros((d + 1, 2 * d - 1), dtype=bool)
-        _skew_cells(seen)[...] = self.rho_t != 0
-        self.columns = np.flatnonzero(seen.any(axis=0))  # skew columns k + d - 1 to sum
-        self.offsets = self.columns - (d - 1)  # their diagonals k = -m of rho^T * K
+        self.offsets = _nonzero_diagonals(self.rho_t)  # diagonals k = -m of rho^T * K to sum
+        self.columns = self.offsets + (d - 1)  # their skew columns
         self.places = (d - 1) - self.offsets  # and their row entries m + d - 1
         self.dense = self.columns.size * _ENTRIES_PER_CALL >= d * d
         self.rho_diagonals = [np.diagonal(self.rho_t, k) for k in self.offsets]
@@ -295,8 +276,10 @@ def _fill_table(rho, dim: SpinDimension, s: float,
                 two_threads: bool = False) -> FourierTable:
     """Table whose row ell is accumulate_row(rho, k_of_ell(ell)), for methods c and d.
 
-    ``rho`` is a density matrix or the ``_RowSums`` prepared from one, which
-    the table then uses instead of preparing its own.
+    ``rho`` is a density matrix, laid out here as one ``_RowSums`` for the
+    whole table, or a ``_RowSums`` prepared from one, used as it is.
+    Method c calls this only for its full build: its other paths need no
+    ``_RowSums`` of rho.
 
     An exactly Hermitian rho has a real phase-space function, so
     F_{-ell,-m} = conj(F_{ell m}): only the rows ell >= 0 are accumulated and
@@ -413,31 +396,66 @@ def _rank_one_table(a: np.ndarray, c: float, u: np.ndarray, mtilde: np.ndarray) 
     return coeffs
 
 
+def _few_diagonal_table(rho: np.ndarray, diagonals: np.ndarray, hermitian: bool,
+                        u: np.ndarray, mtilde: np.ndarray) -> np.ndarray:
+    """Coefficient array of rho from one product per nonzero diagonal m of rho, without any K_ell.
+
+    Entry [ell, m] is sum_i rho[i, i+m] K_ell[i+m, i]
+    = sum_nu Mtilde[nu, nu+ell] X_m[nu, nu+ell] with
+    X_m = sum_i rho[i, i+m] U[i+m, :]^T conj(U[i, :]), so column m is
+    accumulate_row(Mtilde, X_m^T): the row sums of every other path, with
+    Mtilde in rho's place and X_m^T, one (d x (d - |m|)) @ ((d - |m|) x d)
+    product, in K's.  Columns of diagonals that are all zero stay +0.0.  An
+    exactly Hermitian rho computes only m >= 0 and mirrors the rest as
+    ``_fill_table`` mirrors rows, so the table is exactly conjugate-symmetric.
+    """
+    d = u.shape[0]
+    uc = u.conj()
+    rows = _RowSums(mtilde)
+    coeffs = np.zeros((2 * d - 1, 2 * d - 1), dtype=complex)
+    for m in map(int, diagonals):
+        if hermitian and m < 0:
+            continue
+        w = np.diagonal(rho, m)[:, None]  # rho[i, i+m] from i = max(0, -m)
+        if m >= 0:
+            x_t = uc[: d - m].T @ (w * u[m:])
+        else:
+            x_t = uc[-m:].T @ (w * u[: d + m])
+        coeffs[:, m + d - 1] = accumulate_row(rows, x_t)
+    if hermitian:
+        _mirror_hermitian(coeffs.T)
+    return coeffs
+
+
 def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> FourierTable:
     """Fourier coefficients with K matrices built on the fly and discarded.
 
     O(d^4) time for a general rho, O(d^2) memory: one K matrix exists at a
-    time.  A rho whose nonzero diagonals hold E <= d^2 / _EINSUM_PER_ZGEMM
-    cells has only those diagonals of each K_ell built, in O(E d^2) time:
-    O(d^3) for Dicke and GHZ states.  Any other exactly Hermitian rho of
-    at least _RANK_ONE_MIN_D levels that is a a^H / c to rounding (a pure
-    state) builds no K_ell: ``_rank_one_table`` gets its rows from two FFTs
-    in O(d^3) time.  Every other rho takes the full build.
+    time.  rho is scanned once for Hermitian-ness and its nonzero diagonals.
+    A rho whose nonzero diagonals hold E <= d^2 / _FEW_DIAGONAL_GATE cells
+    builds no K_ell: ``_few_diagonal_table`` forms one product per diagonal,
+    in O(E d^2) time, O(d^3) for Dicke and GHZ states.  Any other exactly
+    Hermitian rho of at least _RANK_ONE_MIN_D levels that is a a^H / c to
+    rounding (a pure state) builds none either: ``_rank_one_table`` gets its
+    rows from two FFTs in O(d^3) time.  Every other rho takes the full
+    build, whose ``_fill_table`` lays rho out for its row sums.
     """
     dim = parity.dim
     rho = as_density_matrix(rho, dim)
-    rows = _RowSums(rho)
+    hermitian = np.array_equal(rho, rho.conj().T)
+    diagonals = _nonzero_diagonals(rho)
     basis = jy_eigenbasis(dim)
     mtilde = transform_parity(parity, basis)
     u = basis.vectors
     d = dim.d
-    cells = int(np.sum(d - np.abs(rows.offsets)))
-    if cells * _EINSUM_PER_ZGEMM <= d * d:
-        return _fill_table(rows, dim, parity.s, _k_diagonals(u, mtilde, rows.offsets))
-    factor = _rank_one_factor(rho) if rows.hermitian and d >= _RANK_ONE_MIN_D else None
+    cells = int(np.sum(d - np.abs(diagonals)))
+    if cells * _FEW_DIAGONAL_GATE <= d * d:
+        coeffs = _few_diagonal_table(rho, diagonals, hermitian, u, mtilde)
+        return FourierTable(dim=dim, s=parity.s, coeffs=coeffs)
+    factor = _rank_one_factor(rho) if hermitian and d >= _RANK_ONE_MIN_D else None
     if factor is not None:
         return FourierTable(dim=dim, s=parity.s, coeffs=_rank_one_table(*factor, u, mtilde))
-    return _fill_table(rows, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell))
+    return _fill_table(rho, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell))
 
 
 def derivative_coefficients(table: FourierTable, variable: str) -> FourierTable:

@@ -110,8 +110,10 @@ def _check_grid_size(dim: SpinDimension, n: int) -> int:
 def _synthesize(table: FourierTable, n: int, rows: int) -> np.ndarray:
     """Rows k = 0..rows-1 of the series on theta_k = pi k / n, phi_l = 2 pi l / n.
 
-    Step 1 (theta) is a length-2n transform down each m-column; step 2 (phi)
-    a length-n transform along each kept row.  An exactly conjugate-symmetric
+    Step 1 (theta) is a length-2n transform of each m-column, run along the
+    contiguous rows of the transposed, zero-padded table; only its first
+    ``rows`` outputs are copied back, as grid rows.  Step 2 (phi) is a
+    length-n transform along each kept row.  An exactly conjugate-symmetric
     table, F_{-ell,-m} = conj(F_{ell m}) with no tolerance (the rule of
     fourier._fill_table), describes a real function: only its columns
     m >= 0 go through step 1, step 2 is a real-output transform, and every
@@ -122,11 +124,12 @@ def _synthesize(table: FourierTable, n: int, rows: int) -> np.ndarray:
     c = table.coeffs
     real = np.array_equal(c, np.conj(c[::-1, ::-1]))
     cols = c[:, two_j:] if real else c
-    padded = np.zeros((2 * n, cols.shape[1]), dtype=complex)
-    padded[: two_j + 1] = cols[two_j:]
-    padded[2 * n - two_j:] = cols[:two_j]
+    padded = np.zeros((cols.shape[1], 2 * n), dtype=complex)  # row m: column m, padded
+    padded[:, : two_j + 1] = cols[two_j:].T
+    padded[:, 2 * n - two_j:] = cols[:two_j].T
     # Unnormalized synthesis with e^{+i freq angle}: norm="forward" drops the 1/N.
-    theta = np.fft.ifft(padded, axis=0, norm="forward")[:rows]
+    theta = np.fft.ifft(padded, axis=1, norm="forward")[:, :rows].T.copy()
+    del padded
     if real:
         return np.fft.irfft(theta, n, axis=1, norm="forward").astype(complex)
     wrapped = np.zeros((rows, n), dtype=complex)

@@ -251,7 +251,7 @@ def test_rank_one_table_loads_no_scipy(tmp_path):
              "from spinphase.cli import main\n"
              "def refused(*args):\n"
              "    raise AssertionError('K built')\n"
-             "fourier._k_matrix = fourier._k_diagonals = refused\n"
+             "fourier._k_matrix = refused\n"
              "code = main(sys.argv[1:])\n"
              "print(code, 'scipy' in sys.modules)\n")
     args = ["compute", "--state", "coherent", "--param", "theta0=0.7", "--param", "phi0=1.9",

@@ -605,8 +605,8 @@ def test_one_usable_cpu_starts_no_thread(tmp_path, monkeypatch):
     assert readers == {threading.get_ident()}
 
 
-# Method c builds only rho's nonzero diagonals of each K_ell when they hold
-# at most d^2 / _EINSUM_PER_ZGEMM cells.
+# Method c forms one product per nonzero diagonal of rho, and no K_ell, when
+# those diagonals hold at most d^2 / _FEW_DIAGONAL_GATE cells.
 
 def _band(dim, half_width):
     """Hermitian random rho restricted to the diagonals |k| <= half_width."""
@@ -624,7 +624,7 @@ def _sparse_inputs(dim):
     from spinphase.cgc import tensor_operator
 
     d = dim.d
-    budget = d * d // fourier._EINSUM_PER_ZGEMM
+    budget = d * d // fourier._FEW_DIAGONAL_GATE
     widest = max(b for b in range(d) if sum(d - abs(k) for k in range(-b, b + 1)) <= budget)
     corners = np.zeros((d, d), dtype=complex)  # enough diagonals for the dense product
     for k in range(d - 1, d - 1 - -(-d * d // 2048), -1):
@@ -685,25 +685,38 @@ def _assert_matches_full_k(table, reference, rho, parity, name):
 def test_diagonal_k_build_matches_tables_from_full_k(d, s, monkeypatch):
     dim = SpinDimension.from_d(d)
     inputs = _sparse_inputs(dim)
-    assert fourier._RowSums(inputs["corners"]).dense  # reads K off rho's diagonals too
+    assert fourier._RowSums(inputs["corners"]).dense  # many diagonals, few cells
     references = _full_k_tables(list(inputs.values()), dim, s)
     calls = []
+    rows = []
     k_matrix = fourier._k_matrix
+    accumulate = fourier.accumulate_row
 
     def counted(*args):
         calls.append(args[2])
         return k_matrix(*args)
 
+    def counted_rows(*args):
+        rows.append(args)
+        return accumulate(*args)
+
     monkeypatch.setattr(fourier, "_k_matrix", counted)
+    monkeypatch.setattr(fourier, "accumulate_row", counted_rows)
     parity = build_parity(dim, s)
     for (name, rho), reference in zip(inputs.items(), references):
         calls.clear()
+        rows.clear()
         table = fourier_coefficients_method_c(rho, parity).coeffs
         _assert_matches_full_k(table, reference, rho, parity, name)
         hermitian = np.array_equal(rho, rho.conj().T)
-        full = _cells(rho) * fourier._EINSUM_PER_ZGEMM > d * d
+        full = _cells(rho) * fourier._FEW_DIAGONAL_GATE > d * d
         assert len(calls) == (0 if not full else dim.two_j + 1 if hermitian
                               else 2 * dim.two_j + 1), name
+        # One row sum per K_ell built, else one per column computed: a
+        # nonzero diagonal m of rho, only m >= 0 for a Hermitian rho.
+        columns = [m for m in range(1 - d, d) if np.diagonal(rho, m).any()
+                   and not (hermitian and m < 0)]
+        assert len(rows) == (len(calls) if full else len(columns)), name
 
 
 def test_method_c_builds_full_k_only_for_dense_rho(monkeypatch):
@@ -739,7 +752,7 @@ def test_method_c_builds_full_k_only_for_dense_rho(monkeypatch):
 
 @pytest.mark.parametrize("d", [64, 257])
 def test_method_c_and_d_agree_on_dicke_and_ghz(d, tmp_path):
-    # They no longer share bits here: method c builds K's diagonals by einsum.
+    # They no longer share bits here: method c forms one product per diagonal.
     import shutil
 
     dim = SpinDimension.from_d(d)
@@ -752,6 +765,20 @@ def test_method_c_and_d_agree_on_dicke_and_ghz(d, tmp_path):
             assert np.abs(table_c - table_d).max() <= 1e-13 * np.abs(table_d).max()
     finally:
         shutil.rmtree(cache.directory)  # 540 MB at d = 257
+
+
+def test_few_diagonal_states_reach_d_1000():
+    # GHZ and Dicke states at d = 1000 take the per-diagonal products.
+    from reference import eval_series
+
+    dim = SpinDimension.from_d(1000)
+    parity = build_parity(dim, 0.0)
+    nodes = [(0.3, 1.1), (1.7, 4.0), (2.9, 0.2)]
+    for name, rho in (("ghz", ghz(dim)), ("dicke", dicke(dim, dim.j - 7))):
+        table = fourier_coefficients_method_c(rho, parity)
+        for theta, phi in nodes:
+            value = direct_eval(rho, parity, theta, phi)
+            assert abs(eval_series(table, theta, phi) - value) <= 1e-9 * max(1.0, abs(value)), name
 
 
 def _hermitian_pure(psi):
@@ -811,7 +838,7 @@ def _rank_one_inputs(dim):
     }
     # The few-diagonal check runs first: GHZ and Dicke from d = 32-34.
     return {name: rho for name, rho in inputs.items()
-            if _cells(rho) * fourier._EINSUM_PER_ZGEMM > d * d}
+            if _cells(rho) * fourier._FEW_DIAGONAL_GATE > d * d}
 
 
 @pytest.mark.parametrize("d, s", [(d, s) for d in (fourier._RANK_ONE_MIN_D,
@@ -827,7 +854,7 @@ def test_rank_one_tables_match_tables_from_full_k(d, s, monkeypatch):
     def refused(*args):
         raise AssertionError("a rank-one rho needs no K_ell and no row sums")
 
-    for name in ("_k_matrix", "_k_diagonals", "accumulate_row"):
+    for name in ("_k_matrix", "_RowSums", "accumulate_row"):
         monkeypatch.setattr(fourier, name, refused)
     parity = build_parity(dim, s)
     for (name, rho), reference in zip(inputs.items(), references):

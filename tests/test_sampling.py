@@ -374,3 +374,38 @@ def test_built_in_families_give_exactly_real_grids(s, tmp_path):
                 for t in (table, derivative_coefficients(table, "theta"),
                           derivative_coefficients(table, "phi")):
                     assert not sample_fft(t, n).values.imag.any()
+
+
+def _axis_0_synthesis(table, n, rows):
+    """The two-step synthesis with step 1 run down the columns of the padded table.
+
+    It keeps every output row of step 1 as a view; ``_synthesize`` now runs
+    step 1 along rows of the transposed table and copies back only ``rows``.
+    """
+    two_j = table.dim.two_j
+    c = table.coeffs
+    real = np.array_equal(c, np.conj(c[::-1, ::-1]))
+    cols = c[:, two_j:] if real else c
+    padded = np.zeros((2 * n, cols.shape[1]), dtype=complex)
+    padded[: two_j + 1] = cols[two_j:]
+    padded[2 * n - two_j:] = cols[:two_j]
+    theta = np.fft.ifft(padded, axis=0, norm="forward")[:rows]
+    if real:
+        return np.fft.irfft(theta, n, axis=1, norm="forward").astype(complex)
+    wrapped = np.zeros((rows, n), dtype=complex)
+    wrapped[:, : two_j + 1] = theta[:, two_j:]
+    wrapped[:, n - two_j:] = theta[:, :two_j]
+    return np.fft.ifft(wrapped, axis=1, norm="forward")
+
+
+@pytest.mark.parametrize("hermitian", [True, False], ids=["conjugate-symmetric", "general"])
+@pytest.mark.parametrize("d, n", [(5, 10), (33, 66), (40, 512)])
+def test_synthesis_bits_equal_the_axis_0_formulation(hermitian, d, n):
+    dim = SpinDimension.from_d(d)
+    rng = np.random.default_rng(d)
+    general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = random_density(dim, d) if hermitian else general
+    table = fourier_coefficients_method_c(rho, build_parity(dim, -1.0))
+    assert np.array_equal(table.coeffs, np.conj(table.coeffs[::-1, ::-1])) == hermitian
+    assert sample_fft(table, n).values.tobytes() == _axis_0_synthesis(table, n, n).tobytes()
+    assert sample_fft_full(table, n).tobytes() == _axis_0_synthesis(table, n, 2 * n).tobytes()
