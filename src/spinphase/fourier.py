@@ -49,13 +49,12 @@ _PAIRWISE_THRESHOLD = 256
 _ENTRIES_PER_CALL = 1024
 
 # Method c takes a rho whose nonzero diagonals hold at most d^2 /
-# _FEW_DIAGONAL_GATE cells one product per diagonal (``_few_diagonal_table``)
-# instead of building every K_ell.  The value is the crossover of the
-# per-diagonal einsum build that path replaced, measured on banded random
-# states (2-vCPU VM, numpy 2.4, OpenBLAS): that build won below cells / d^2 =
-# 0.028 and lost above 0.040 at d = 320.  It is kept so that every input keeps
-# its path; the products cost about 8 d^2 flops per cell against 8 d^4 for the
-# Hermitian half of the full build.
+# _FEW_DIAGONAL_GATE cells through ``_few_diagonal_table`` instead of building
+# every K_ell.  Its products cost d^2 complex multiply-adds per cell on those
+# diagonals, the full build's d^2 per cell of rho.  The value is the measured
+# crossover of the per-diagonal einsum build that path replaced (banded random
+# states, 2-vCPU VM, numpy 2.4, OpenBLAS: that build won below cells / d^2 =
+# 0.028 and lost above 0.040 at d = 320), kept so that every input keeps its path.
 _FEW_DIAGONAL_GATE = 32
 
 # Method c takes an exactly Hermitian rho = a a^H / c from ``_rank_one_table``
@@ -77,7 +76,9 @@ _RANK_ONE_TOLERANCE = 64
 
 # Rows nu of the rank-one product formed per call: a 32 x 2d buffer, 0.3 MB
 # at d = 320 where a whole (d - ell) x 2d product would take 3.3 MB.  At
-# d = 320, 32 rows took 79 ms per table against 89-93 ms for 16, 64 or 128.
+# d = 320, 32 rows took 79 ms per table against 89-93 ms for 16, 64 or 128
+# (one ell at a time); taking every ell per chunk brought 32 rows to about
+# 45-60 ms.  The value fixes the order of the sums, so the table's bits.
 _RANK_ONE_CHUNK = 32
 
 
@@ -367,8 +368,9 @@ def _rank_one_table(a: np.ndarray, c: float, u: np.ndarray, mtilde: np.ndarray) 
     A = a conj(U) and B = conj(a) U / c over the levels i: per nu a
     correlation over i, so a product of length-2d transforms (long enough
     that no m wraps around) at each frequency.  Rows ell >= 0 are computed
-    so, their sums over nu formed a chunk of nu at a time, and the rest are
-    mirrored as in ``_fill_table``: O(d^3) time, O(d^2) memory.
+    so, their sums over nu formed a chunk of nu at a time, for every ell
+    before the next chunk, and the rest are mirrored as in
+    ``_fill_table``: O(d^3) time, O(d^2) memory.
     """
     d = a.size
     n = 2 * d
@@ -377,11 +379,15 @@ def _rank_one_table(a: np.ndarray, c: float, u: np.ndarray, mtilde: np.ndarray) 
     b_hat = np.fft.fft((u * (a.conj() / c)[:, None]).T, n, axis=1)
     sums = np.empty((d, n), dtype=complex)
     product = np.empty((min(d, _RANK_ONE_CHUNK), n), dtype=complex)
-    for ell in range(d):
-        w = np.diagonal(mtilde, ell)
-        for lo in range(0, d - ell, _RANK_ONE_CHUNK):
+    weights = [np.diagonal(mtilde, ell) for ell in range(d)]
+    # Chunk by chunk of nu: its rows of b_hat stay in cache while each next
+    # ell moves the rows of a_hat by one, and every sums[ell] still adds its
+    # chunks in ascending order, so the bits are those of an ell-major loop.
+    for lo in range(0, d, _RANK_ONE_CHUNK):
+        for ell in range(d - lo):
             hi = min(d - ell, lo + _RANK_ONE_CHUNK)
             chunk = np.multiply(a_hat[ell + lo:ell + hi], b_hat[lo:hi], out=product[:hi - lo])
+            w = weights[ell]
             if lo == 0:
                 np.matmul(w[:hi], chunk, out=sums[ell])
             else:
@@ -405,7 +411,7 @@ def _few_diagonal_table(rho: np.ndarray, diagonals: np.ndarray, hermitian: bool,
     X_m = sum_i rho[i, i+m] U[i+m, :]^T conj(U[i, :]), so column m is
     accumulate_row(Mtilde, X_m^T): the row sums of every other path, with
     Mtilde in rho's place and X_m^T, one (d x (d - |m|)) @ ((d - |m|) x d)
-    product, in K's.  Columns of diagonals that are all zero stay +0.0.  An
+    product, in K's.  Columns of diagonals that are all zero stay zero.  An
     exactly Hermitian rho computes only m >= 0 and mirrors the rest as
     ``_fill_table`` mirrors rows, so the table is exactly conjugate-symmetric.
     """
