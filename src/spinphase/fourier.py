@@ -77,8 +77,9 @@ _RANK_ONE_TOLERANCE = 64
 # Rows nu of the rank-one product formed per call: a 32 x 2d buffer, 0.3 MB
 # at d = 320 where a whole (d - ell) x 2d product would take 3.3 MB.  At
 # d = 320, 32 rows took 79 ms per table against 89-93 ms for 16, 64 or 128
-# (one ell at a time); taking every ell per chunk brought 32 rows to about
-# 45-60 ms.  The value fixes the order of the sums, so the table's bits.
+# (one ell at a time); taking every ell per chunk cut that to 44-63 ms
+# against 66-88 ms in the same runs.  The value fixes the order of the sums,
+# so the table's bits.
 _RANK_ONE_CHUNK = 32
 
 

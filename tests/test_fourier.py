@@ -14,7 +14,7 @@ from spinphase.sampling import direct_eval, direct_grid, grid_phis, grid_thetas,
     method_b_grid, minimal_grid_size, sample_fft
 from spinphase.states import coherent, dicke, ghz, maximally_mixed, random_density, squeezed
 
-from reference import column, projector_am
+from reference import column, eval_series, projector_am
 
 
 def _table(d, s, seed=None, rho=None):
@@ -769,8 +769,6 @@ def test_method_c_and_d_agree_on_dicke_and_ghz(d, tmp_path):
 
 def test_few_diagonal_states_reach_d_1000():
     # GHZ and Dicke states at d = 1000 take the per-diagonal products.
-    from reference import eval_series
-
     dim = SpinDimension.from_d(1000)
     parity = build_parity(dim, 0.0)
     nodes = [(0.3, 1.1), (1.7, 4.0), (2.9, 0.2)]
