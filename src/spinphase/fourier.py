@@ -411,23 +411,22 @@ def _few_diagonal_table(rho: np.ndarray, diagonals: np.ndarray, hermitian: bool,
     = sum_nu Mtilde[nu, nu+ell] X_m[nu, nu+ell] with
     X_m = sum_i rho[i, i+m] U[i+m, :]^T conj(U[i, :]), so column m is
     accumulate_row(Mtilde, X_m^T): the row sums of every other path, with
-    Mtilde in rho's place and X_m^T, one (d x (d - |m|)) @ ((d - |m|) x d)
-    product, in K's.  Columns of diagonals that are all zero stay zero.  An
-    exactly Hermitian rho computes only m >= 0 and mirrors the rest as
-    ``_fill_table`` mirrors rows, so the table is exactly conjugate-symmetric.
+    Mtilde in rho's place and X_m^T, in K's.  X_m^T is one (d x E) @ (E x d)
+    product over the E cells i where rho[i, i+m] is nonzero.  Columns of
+    diagonals that are all zero stay zero.  An exactly Hermitian rho
+    computes only m >= 0 and mirrors the rest as ``_fill_table`` mirrors
+    rows, so the table is exactly conjugate-symmetric.
     """
     d = u.shape[0]
-    uc = u.conj()
     rows = _RowSums(mtilde)
     coeffs = np.zeros((2 * d - 1, 2 * d - 1), dtype=complex)
     for m in map(int, diagonals):
         if hermitian and m < 0:
             continue
-        w = np.diagonal(rho, m)[:, None]  # rho[i, i+m] from i = max(0, -m)
-        if m >= 0:
-            x_t = uc[: d - m].T @ (w * u[m:])
-        else:
-            x_t = uc[-m:].T @ (w * u[: d + m])
+        w = np.diagonal(rho, m)  # rho[i, i+m] from i = max(0, -m)
+        cells = np.flatnonzero(w)
+        i = cells + max(0, -m)
+        x_t = u[i].conj().T @ (w[cells, None] * u[i + m])
         coeffs[:, m + d - 1] = accumulate_row(rows, x_t)
     if hermitian:
         _mirror_hermitian(coeffs.T)
@@ -440,8 +439,10 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     O(d^4) time for a general rho, O(d^2) memory: one K matrix exists at a
     time.  rho is scanned once for Hermitian-ness and its nonzero diagonals.
     A rho whose nonzero diagonals hold E <= d^2 / _FEW_DIAGONAL_GATE cells
-    builds no K_ell: ``_few_diagonal_table`` forms one product per diagonal,
-    in O(E d^2) time, O(d^3) for Dicke and GHZ states.  Any other exactly
+    builds no K_ell: ``_few_diagonal_table`` forms one product per diagonal
+    over its nonzero cells, in O(d^2) time per diagonal and per nonzero cell,
+    O(d^2) for Dicke and GHZ states once Mtilde is built (``transform_parity``
+    keeps it for the next call).  Any other exactly
     Hermitian rho of at least _RANK_ONE_MIN_D levels that is a a^H / c to
     rounding (a pure state) builds none either: ``_rank_one_table`` gets its
     rows from two FFTs in O(d^3) time.  Every other rho takes the full

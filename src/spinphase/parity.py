@@ -9,7 +9,10 @@ Glauber P function.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +33,14 @@ __all__ = [
 ]
 
 LOG_4PI = math.log(4.0 * math.pi)
+
+# build_parity keeps this many operators, each a length-d float diagonal:
+# at most 64 x 8 kB = 0.5 MB at d = 1000.
+_PARITY_MEMO = 64
+
+# transform_parity keeps this many d x d complex Mtilde: at most
+# 4 x 16 MB = 64 MB at d = 1000.
+_TRANSFORM_MEMO = 4
 
 
 class ParityOverflowError(OverflowError):
@@ -110,8 +121,19 @@ def _kernel_weights(dim: SpinDimension, s: float) -> np.ndarray:
 
 
 def build_parity(dim: SpinDimension, s: float) -> ParityOperator:
-    """Assemble M_s = (1/R) sum_j sqrt((2j+1)/4pi) (gamma_j)^(-s) T_j0."""
+    """Assemble M_s = (1/R) sum_j sqrt((2j+1)/4pi) (gamma_j)^(-s) T_j0.
+
+    Shared and memoized: one read-only operator per (2J, s), s = -0.0 kept
+    apart from 0.0, at most _PARITY_MEMO of them.
+    """
     s = validate_s(s)
+    return _cached_parity(dim.two_j, s, math.copysign(1.0, s))
+
+
+@lru_cache(maxsize=_PARITY_MEMO)
+def _cached_parity(two_j: int, s: float, sign: float) -> ParityOperator:
+    # lru_cache finds -0.0 == 0.0, so ``sign`` keeps their operators apart.
+    dim = SpinDimension(two_j)
     diag = _kernel_weights(dim, s) @ tensor_bands(dim, 0)
     if not np.all(np.isfinite(diag)):
         raise ParityOverflowError(f"parity diagonal overflows for d = {dim.d}, s = {s}")
@@ -133,12 +155,42 @@ def rounding_bound(rho: np.ndarray, dim: SpinDimension, s: float) -> float:
     return float(np.finfo(float).eps * np.linalg.norm(rho) * kernel)
 
 
+# (id(basis), dtype, diagonal bytes) -> (weak reference to basis, Mtilde),
+# least recently used first.
+_transformed: dict[tuple, tuple[weakref.ref, np.ndarray]] = {}
+_transformed_lock = threading.Lock()
+
+
 def transform_parity(parity: ParityOperator, basis: EigenBasis) -> np.ndarray:
-    """Read-only U^dagger M_s U: the diagonal kernel rotated into the eigenbasis of J_y."""
+    """Read-only U^dagger M_s U: the diagonal kernel rotated into the eigenbasis of J_y.
+
+    Memoized for a basis whose vectors are read-only, as ``jy_eigenbasis``'s
+    are: an entry is keyed on that basis object and on the bytes of the
+    operator's diagonal, so an operator built by hand never receives
+    another's Mtilde.  An entry whose basis has been freed is dropped at the
+    next miss, and at most _TRANSFORM_MEMO entries, the most recently used,
+    are kept.
+    """
     if basis.dim != parity.dim:
         raise ValueError(f"dimension mismatch: parity d = {parity.dim.d}, "
                          f"basis d = {basis.dim.d}")
     u = basis.vectors
+    diag = np.asarray(parity.diag)
+    key = None
+    if not u.flags.writeable:
+        key = (id(basis), diag.dtype.str, diag.tobytes())
+        with _transformed_lock:
+            hit = _transformed.pop(key, None)
+            if hit is not None and hit[0]() is basis:
+                _transformed[key] = hit  # now the most recently used
+                return hit[1]
     matrix = (u.conj().T * parity.diag) @ u
     matrix.setflags(write=False)
+    if key is not None:
+        with _transformed_lock:
+            for old in [k for k, (ref, _) in _transformed.items() if ref() is None]:
+                del _transformed[old]
+            while len(_transformed) >= _TRANSFORM_MEMO:
+                del _transformed[next(iter(_transformed))]
+            _transformed[key] = (weakref.ref(basis), matrix)
     return matrix

@@ -118,11 +118,14 @@ def _synthesize(table: FourierTable, n: int, rows: int) -> np.ndarray:
     fourier._fill_table), describes a real function: only its columns
     m >= 0 go through step 1, step 2 is a real-output transform, and every
     imaginary part is +0.0.  Any other table keeps both transforms complex.
+    The symmetry test compares rows 0..2J with the conjugated reverse of rows
+    4J..2J, which covers every pair, and the real output is written straight
+    into the real parts of a zeroed complex grid.
     """
     n = _check_grid_size(table.dim, n)
     two_j = table.dim.two_j
     c = table.coeffs
-    real = np.array_equal(c, np.conj(c[::-1, ::-1]))
+    real = np.array_equal(c[: two_j + 1], np.conj(c[:two_j - 1:-1, ::-1]))
     cols = c[:, two_j:] if real else c
     padded = np.zeros((cols.shape[1], 2 * n), dtype=complex)  # row m: column m, padded
     padded[:, : two_j + 1] = cols[two_j:].T
@@ -131,7 +134,9 @@ def _synthesize(table: FourierTable, n: int, rows: int) -> np.ndarray:
     theta = np.fft.ifft(padded, axis=1, norm="forward")[:, :rows].T.copy()
     del padded
     if real:
-        return np.fft.irfft(theta, n, axis=1, norm="forward").astype(complex)
+        values = np.zeros((rows, n), dtype=complex)
+        np.fft.irfft(theta, n, axis=1, norm="forward", out=values.real)
+        return values
     wrapped = np.zeros((rows, n), dtype=complex)
     wrapped[:, : two_j + 1] = theta[:, two_j:]
     wrapped[:, n - two_j:] = theta[:, :two_j]

@@ -193,6 +193,18 @@ def test_method_d_checks_s_but_builds_no_parity(tmp_path, capsys, monkeypatch):
                "--method", "d", "--cache", cache) == 0
 
 
+def test_negative_zero_s_reaches_the_binary_header(tmp_path):
+    # build_parity is memoized; -0.0 == 0.0 must not share an operator.
+    import math
+
+    for s in ("0.0", "-0.0", "0.0"):
+        out = tmp_path / f"g{s}.bin"
+        assert run("compute", "--state", "ghz", "--dim", 5, "--s", s, "--n", 10,
+                   "--format", "bin", "--out", out) == 0
+        grid, _ = read_grid(out)
+        assert math.copysign(1.0, grid.s) == math.copysign(1.0, float(s))
+
+
 def test_truncated_input_is_an_error_not_a_traceback(tmp_path, capsys):
     mfile = tmp_path / "rho.bin"
     write_matrix(mfile, random_density(SpinDimension.from_d(4), 1))

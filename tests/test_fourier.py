@@ -767,16 +767,46 @@ def test_method_c_and_d_agree_on_dicke_and_ghz(d, tmp_path):
         shutil.rmtree(cache.directory)  # 540 MB at d = 257
 
 
+def _assert_matches_direct_at_three_nodes(rho, parity, name):
+    table = fourier_coefficients_method_c(rho, parity)
+    for theta, phi in [(0.3, 1.1), (1.7, 4.0), (2.9, 0.2)]:
+        value = direct_eval(rho, parity, theta, phi)
+        assert abs(eval_series(table, theta, phi) - value) <= 1e-9 * max(1.0, abs(value)), name
+
+
 def test_few_diagonal_states_reach_d_1000():
     # GHZ and Dicke states at d = 1000 take the per-diagonal products.
     dim = SpinDimension.from_d(1000)
     parity = build_parity(dim, 0.0)
-    nodes = [(0.3, 1.1), (1.7, 4.0), (2.9, 0.2)]
     for name, rho in (("ghz", ghz(dim)), ("dicke", dicke(dim, dim.j - 7))):
-        table = fourier_coefficients_method_c(rho, parity)
-        for theta, phi in nodes:
-            value = direct_eval(rho, parity, theta, phi)
-            assert abs(eval_series(table, theta, phi) - value) <= 1e-9 * max(1.0, abs(value)), name
+        _assert_matches_direct_at_three_nodes(rho, parity, name)
+
+
+def test_pure_states_reach_d_1000():
+    # A coherent state at d = 1000 takes the rank-one path.
+    dim = SpinDimension.from_d(1000)
+    _assert_matches_direct_at_three_nodes(coherent(dim, 0.7, 1.9), build_parity(dim, 0.0),
+                                          "coherent")
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.5])
+def test_memo_hit_tables_equal_cold_tables_byte_for_byte(s):
+    # d = 40: random takes the full build, squeezed and coherent the
+    # rank-one path, GHZ, Dicke and maximally mixed the per-diagonal products.
+    from spinphase import angular, parity as parity_module
+
+    dim = SpinDimension.from_d(40)
+    families = {"random": random_density(dim, 40), "squeezed": squeezed(dim, 0.3),
+                "coherent": coherent(dim, 0.7, 1.9), "ghz": ghz(dim),
+                "dicke": dicke(dim, dim.j - 7), "mixed": maximally_mixed(dim)}
+    for name, rho in families.items():
+        angular._cached_basis.cache_clear()
+        parity_module._cached_parity.cache_clear()
+        parity_module._transformed.clear()
+        cold = fourier_coefficients_method_c(rho, build_parity(dim, s))
+        hit = fourier_coefficients_method_c(rho, build_parity(dim, s))
+        assert hit.coeffs.tobytes() == cold.coeffs.tobytes(), name
+        assert sample_fft(hit, 96).values.tobytes() == sample_fft(cold, 96).values.tobytes(), name
 
 
 def _hermitian_pure(psi):

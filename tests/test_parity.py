@@ -1,3 +1,4 @@
+import gc
 import math
 import warnings
 from fractions import Fraction
@@ -5,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinphase.angular import SpinDimension, jy_eigenbasis, rotation_operator
+from spinphase import parity as parity_module
+from spinphase.angular import EigenBasis, SpinDimension, jy_eigenbasis, rotation_operator
 from spinphase.cgc import tensor_operator
 from spinphase.parity import (ParityOperator, ParityOverflowError, build_parity,
                               gamma_j, log_gamma_j, rounding_bound, sphere_radius,
@@ -198,3 +200,72 @@ def test_a_perturbation_moves_values_by_at_most_its_norm_times_the_kernel_norm(s
     limit = np.linalg.norm(delta) * np.linalg.norm(parity.diag)
     for theta, phi in rng.uniform(0.0, [np.pi, 2 * np.pi], (20, 2)):
         assert abs(direct_eval(delta, parity, theta, phi)) <= limit
+
+
+# build_parity and transform_parity memoize the per-(d, s) kernel.
+
+def test_memoized_parity_keeps_the_sign_of_zero_s():
+    dim = SpinDimension.from_d(5)
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        parity_module._cached_parity.cache_clear()
+        for s in (first, second, first):
+            assert math.copysign(1.0, build_parity(dim, s).s) == math.copysign(1.0, s)
+    assert build_parity(dim, 0.0) is build_parity(dim, 0)
+    assert build_parity(dim, -0.0) is not build_parity(dim, 0.0)
+
+
+def test_a_hand_built_operator_gets_its_own_transform():
+    dim = SpinDimension.from_d(6)
+    basis = jy_eigenbasis(dim)
+    built = build_parity(dim, 0.0)
+    mtilde = transform_parity(built, basis)
+    doubled = ParityOperator(dim=dim, s=0.0, diag=2 * built.diag)  # same (d, s)
+    assert transform_parity(doubled, basis).tobytes() == (2 * mtilde).tobytes()
+    assert transform_parity(built, basis) is mtilde
+    copied = ParityOperator(dim=dim, s=0.0, diag=built.diag.copy())
+    assert np.array_equal(transform_parity(copied, basis), mtilde)
+    # Another basis object, read-only too, gets its own transform.
+    twisted = basis.vectors * np.exp(1j * np.arange(dim.d))
+    twisted.setflags(write=False)
+    other = EigenBasis(dim=dim, eigenvalues=basis.eigenvalues, vectors=twisted)
+    expected = (twisted.conj().T * built.diag) @ twisted
+    assert transform_parity(built, other).tobytes() == expected.tobytes()
+
+
+def test_memoized_diagonal_and_transform_are_read_only():
+    dim = SpinDimension.from_d(7)
+    built = build_parity(dim, -0.5)
+    mtilde = transform_parity(built, jy_eigenbasis(dim))
+    assert build_parity(dim, -0.5) is built
+    assert transform_parity(build_parity(dim, -0.5), jy_eigenbasis(dim)) is mtilde
+    for array in (built.diag, mtilde):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_memos_hold_at_most_their_stated_number_of_entries():
+    dim = SpinDimension.from_d(3)
+    assert parity_module._cached_parity.cache_info().maxsize == parity_module._PARITY_MEMO
+    for s in np.linspace(-1.0, 1.0, parity_module._PARITY_MEMO + 5):
+        build_parity(dim, s)
+        assert parity_module._cached_parity.cache_info().currsize <= parity_module._PARITY_MEMO
+    basis = jy_eigenbasis(dim)
+    for k in range(parity_module._TRANSFORM_MEMO + 3):
+        transform_parity(ParityOperator(dim=dim, s=0.0, diag=np.full(3, k + 1.0)), basis)
+        assert len(parity_module._transformed) <= parity_module._TRANSFORM_MEMO
+    # A hit makes its entry the most recently used one.
+    first = ParityOperator(dim=dim, s=0.0, diag=np.full(3, 1.0))
+    kept = transform_parity(first, basis)
+    for k in range(parity_module._TRANSFORM_MEMO + 1):
+        transform_parity(ParityOperator(dim=dim, s=0.0, diag=np.full(3, k + 2.0)), basis)
+        assert transform_parity(first, basis) is kept
+    # An entry whose basis is freed goes at the next miss.
+    vectors = basis.vectors.copy()
+    vectors.setflags(write=False)
+    freed = EigenBasis(dim=dim, eigenvalues=basis.eigenvalues, vectors=vectors)
+    transform_parity(build_parity(dim, 0.0), freed)
+    del freed
+    gc.collect()
+    transform_parity(build_parity(dim, 0.0), basis)
+    assert all(ref() is not None for ref, _ in parity_module._transformed.values())

@@ -409,3 +409,19 @@ def test_synthesis_bits_equal_the_axis_0_formulation(hermitian, d, n):
     assert np.array_equal(table.coeffs, np.conj(table.coeffs[::-1, ::-1])) == hermitian
     assert sample_fft(table, n).values.tobytes() == _axis_0_synthesis(table, n, n).tobytes()
     assert sample_fft_full(table, n).tobytes() == _axis_0_synthesis(table, n, 2 * n).tobytes()
+
+
+@pytest.mark.parametrize("place", ["top half", "middle row", "bottom half"])
+def test_one_ulp_off_symmetry_anywhere_keeps_the_complex_path(place):
+    d, n = 9, 18
+    dim = SpinDimension.from_d(d)
+    table = fourier_coefficients_method_c(random_density(dim, 9), build_parity(dim, 0.0))
+    two_j = dim.two_j
+    i, j = {"top half": (1, 3), "middle row": (two_j, two_j + 2),
+            "bottom half": (two_j + 3, 5)}[place]
+    coeffs = table.coeffs.copy()
+    coeffs[i, j] = complex(np.nextafter(coeffs[i, j].real, np.inf), coeffs[i, j].imag)
+    nudged = FourierTable(dim=dim, s=0.0, coeffs=coeffs)
+    values = sample_fft(nudged, n).values
+    assert values.imag.any()
+    assert values.tobytes() == _axis_0_synthesis(nudged, n, n).tobytes()
