@@ -440,9 +440,9 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     time.  rho is scanned once for Hermitian-ness and its nonzero diagonals.
     A rho whose nonzero diagonals hold E <= d^2 / _FEW_DIAGONAL_GATE cells
     builds no K_ell: ``_few_diagonal_table`` forms one product per diagonal
-    over its nonzero cells, in O(d^2) time per diagonal and per nonzero cell,
-    O(d^2) for Dicke and GHZ states once Mtilde is built (``transform_parity``
-    keeps it for the next call).  Any other exactly
+    over its nonzero cells, in O(d^2) time per diagonal and per nonzero cell:
+    O(d^2) for Dicke and GHZ states once Mtilde is built, which
+    ``transform_parity`` keeps for the next call.  Any other exactly
     Hermitian rho of at least _RANK_ONE_MIN_D levels that is a a^H / c to
     rounding (a pure state) builds none either: ``_rank_one_table`` gets its
     rows from two FFTs in O(d^3) time.  Every other rho takes the full

@@ -184,7 +184,7 @@ def transform_parity(parity: ParityOperator, basis: EigenBasis) -> np.ndarray:
             if hit is not None and hit[0]() is basis:
                 _transformed[key] = hit  # now the most recently used
                 return hit[1]
-    matrix = (u.conj().T * parity.diag) @ u
+    matrix = (u.conj().T * diag) @ u
     matrix.setflags(write=False)
     if key is not None:
         with _transformed_lock:

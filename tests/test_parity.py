@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -269,3 +271,37 @@ def test_memos_hold_at_most_their_stated_number_of_entries():
     gc.collect()
     transform_parity(build_parity(dim, 0.0), basis)
     assert all(ref() is not None for ref, _ in parity_module._transformed.values())
+
+
+def test_the_transform_memo_holds_under_threads():
+    # More operators than entries, so threads keep evicting each other's.
+    dim = SpinDimension.from_d(4)
+    basis = jy_eigenbasis(dim)
+    u = basis.vectors
+    ops = [ParityOperator(dim=dim, s=0.0, diag=np.full(4, k + 1.0))
+           for k in range(2 * parity_module._TRANSFORM_MEMO)]
+    expected = [((u.conj().T * op.diag) @ u).tobytes() for op in ops]
+    wrong = []
+
+    def work(offset):
+        try:
+            for i in range(400):
+                k = (i + offset) % len(ops)
+                if transform_parity(ops[k], basis).tobytes() != expected[k]:
+                    wrong.append(k)
+        except Exception as exc:  # a lost update can raise inside the dict sweep
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert len(parity_module._transformed) <= parity_module._TRANSFORM_MEMO
