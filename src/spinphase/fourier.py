@@ -25,6 +25,7 @@ import os
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +74,10 @@ _RANK_ONE_MIN_D = 10
 # maximally mixed ones at least 0.35 (1.6e15 eps), at d in {2, 3, 17, 64,
 # 65, 200, 320}.
 _RANK_ONE_TOLERANCE = 64
+
+# Method c keeps the Mtilde of this many parity diagonals, each a d x d
+# complex matrix: at most 4 x 16 MB = 64 MB at d = 1000.
+_MTILDE_MEMO = 4
 
 # Rows nu of the rank-one product formed per call: a 32 x 2d buffer, 0.3 MB
 # at d = 320 where a whole (d - ell) x 2d product would take 3.3 MB.  At
@@ -433,6 +438,18 @@ def _few_diagonal_table(rho: np.ndarray, diagonals: np.ndarray, hermitian: bool,
     return coeffs
 
 
+@lru_cache(maxsize=_MTILDE_MEMO)
+def _cached_mtilde(two_j: int, dtype: str, diag: bytes) -> np.ndarray:
+    """Read-only ``transform_parity`` of the parity diagonal with these bytes, in J_y's basis.
+
+    Keyed on the diagonal's content, so an operator built by hand never
+    receives another's Mtilde; ``transform_parity`` reads only its dim and diag.
+    """
+    dim = SpinDimension(two_j)
+    parity = ParityOperator(dim=dim, s=0.0, diag=np.frombuffer(diag, dtype))
+    return transform_parity(parity, jy_eigenbasis(dim))
+
+
 def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> FourierTable:
     """Fourier coefficients with K matrices built on the fly and discarded.
 
@@ -442,7 +459,7 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     builds no K_ell: ``_few_diagonal_table`` forms one product per diagonal
     over its nonzero cells, in O(d^2) time per diagonal and per nonzero cell:
     O(d^2) for Dicke and GHZ states once Mtilde is built, which
-    ``transform_parity`` keeps for the next call.  Any other exactly
+    ``_cached_mtilde`` keeps for the next call.  Any other exactly
     Hermitian rho of at least _RANK_ONE_MIN_D levels that is a a^H / c to
     rounding (a pure state) builds none either: ``_rank_one_table`` gets its
     rows from two FFTs in O(d^3) time.  Every other rho takes the full
@@ -452,9 +469,9 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     rho = as_density_matrix(rho, dim)
     hermitian = np.array_equal(rho, rho.conj().T)
     diagonals = _nonzero_diagonals(rho)
-    basis = jy_eigenbasis(dim)
-    mtilde = transform_parity(parity, basis)
-    u = basis.vectors
+    diag = np.asarray(parity.diag)
+    mtilde = _cached_mtilde(dim.two_j, diag.dtype.str, diag.tobytes())
+    u = jy_eigenbasis(dim).vectors
     d = dim.d
     cells = int(np.sum(d - np.abs(diagonals)))
     if cells * _FEW_DIAGONAL_GATE <= d * d:

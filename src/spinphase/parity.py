@@ -9,8 +9,6 @@ Glauber P function.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,10 +35,6 @@ LOG_4PI = math.log(4.0 * math.pi)
 # build_parity keeps this many operators, each a length-d float diagonal:
 # at most 64 x 8 kB = 0.5 MB at d = 1000.
 _PARITY_MEMO = 64
-
-# transform_parity keeps this many d x d complex Mtilde: at most
-# 4 x 16 MB = 64 MB at d = 1000.
-_TRANSFORM_MEMO = 4
 
 
 class ParityOverflowError(OverflowError):
@@ -155,42 +149,12 @@ def rounding_bound(rho: np.ndarray, dim: SpinDimension, s: float) -> float:
     return float(np.finfo(float).eps * np.linalg.norm(rho) * kernel)
 
 
-# (id(basis), dtype, diagonal bytes) -> (weak reference to basis, Mtilde),
-# least recently used first.
-_transformed: dict[tuple, tuple[weakref.ref, np.ndarray]] = {}
-_transformed_lock = threading.Lock()
-
-
 def transform_parity(parity: ParityOperator, basis: EigenBasis) -> np.ndarray:
-    """Read-only U^dagger M_s U: the diagonal kernel rotated into the eigenbasis of J_y.
-
-    Memoized for a basis whose vectors are read-only, as ``jy_eigenbasis``'s
-    are: an entry is keyed on that basis object and on the bytes of the
-    operator's diagonal, so an operator built by hand never receives
-    another's Mtilde.  An entry whose basis has been freed is dropped at the
-    next miss, and at most _TRANSFORM_MEMO entries, the most recently used,
-    are kept.
-    """
+    """Read-only U^dagger M_s U: the diagonal kernel rotated into the eigenbasis of J_y."""
     if basis.dim != parity.dim:
         raise ValueError(f"dimension mismatch: parity d = {parity.dim.d}, "
                          f"basis d = {basis.dim.d}")
     u = basis.vectors
-    diag = np.asarray(parity.diag)
-    key = None
-    if not u.flags.writeable:
-        key = (id(basis), diag.dtype.str, diag.tobytes())
-        with _transformed_lock:
-            hit = _transformed.pop(key, None)
-            if hit is not None and hit[0]() is basis:
-                _transformed[key] = hit  # now the most recently used
-                return hit[1]
-    matrix = (u.conj().T * diag) @ u
+    matrix = (u.conj().T * parity.diag) @ u
     matrix.setflags(write=False)
-    if key is not None:
-        with _transformed_lock:
-            for old in [k for k, (ref, _) in _transformed.items() if ref() is None]:
-                del _transformed[old]
-            while len(_transformed) >= _TRANSFORM_MEMO:
-                del _transformed[next(iter(_transformed))]
-            _transformed[key] = (weakref.ref(basis), matrix)
     return matrix

@@ -9,7 +9,7 @@ from spinphase.angular import EigenBasis, SpinDimension, jy_eigenbasis
 from spinphase.fourier import (FourierTable, compute_k, derivative_coefficients,
                                fourier_coefficients_method_c)
 from spinphase.kcache import KCache, fourier_coefficients_method_d, precompute_cache
-from spinphase.parity import build_parity, transform_parity
+from spinphase.parity import ParityOperator, build_parity, transform_parity
 from spinphase.sampling import direct_eval, direct_grid, grid_phis, grid_thetas, \
     method_b_grid, minimal_grid_size, sample_fft
 from spinphase.states import coherent, dicke, ghz, maximally_mixed, random_density, squeezed
@@ -793,6 +793,7 @@ def test_pure_states_reach_d_1000():
 def test_memo_hit_tables_equal_cold_tables_byte_for_byte(s):
     # d = 40: random takes the full build, squeezed and coherent the
     # rank-one path, GHZ, Dicke and maximally mixed the per-diagonal products.
+    # A rebuilt basis (its memo alone cleared) pairs with the memoized Mtilde.
     from spinphase import angular, parity as parity_module
 
     dim = SpinDimension.from_d(40)
@@ -802,11 +803,42 @@ def test_memo_hit_tables_equal_cold_tables_byte_for_byte(s):
     for name, rho in families.items():
         angular._cached_basis.cache_clear()
         parity_module._cached_parity.cache_clear()
-        parity_module._transformed.clear()
+        fourier._cached_mtilde.cache_clear()
         cold = fourier_coefficients_method_c(rho, build_parity(dim, s))
         hit = fourier_coefficients_method_c(rho, build_parity(dim, s))
-        assert hit.coeffs.tobytes() == cold.coeffs.tobytes(), name
-        assert sample_fft(hit, 96).values.tobytes() == sample_fft(cold, 96).values.tobytes(), name
+        angular._cached_basis.cache_clear()
+        rebased = fourier_coefficients_method_c(rho, build_parity(dim, s))
+        grid = sample_fft(cold, 96).values.tobytes()
+        for table in (hit, rebased):
+            assert table.coeffs.tobytes() == cold.coeffs.tobytes(), name
+            assert sample_fft(table, 96).values.tobytes() == grid, name
+
+
+def test_a_hand_built_operator_gets_its_own_mtilde():
+    # Doubling the diagonal doubles every table entry exactly (up to signs of zero).
+    dim = SpinDimension.from_d(12)
+    rho = random_density(dim, 12)
+    built = build_parity(dim, 0.0)
+    table = fourier_coefficients_method_c(rho, built)
+    doubled = ParityOperator(dim=dim, s=0.0, diag=2 * built.diag)  # same (d, s)
+    assert np.array_equal(fourier_coefficients_method_c(rho, doubled).coeffs, 2 * table.coeffs)
+    copied = ParityOperator(dim=dim, s=0.0, diag=built.diag.copy())
+    assert fourier_coefficients_method_c(rho, copied).coeffs.tobytes() == table.coeffs.tobytes()
+
+
+def test_the_mtilde_memo_is_read_only_and_bounded():
+    dim = SpinDimension.from_d(3)
+    basis = jy_eigenbasis(dim)
+    assert fourier._cached_mtilde.cache_info().maxsize == fourier._MTILDE_MEMO
+    for k in range(fourier._MTILDE_MEMO + 3):
+        diag = np.full(3, k + 1.0)
+        mtilde = fourier._cached_mtilde(dim.two_j, diag.dtype.str, diag.tobytes())
+        parity = ParityOperator(dim=dim, s=0.0, diag=diag)
+        assert mtilde.tobytes() == transform_parity(parity, basis).tobytes()
+        assert not mtilde.flags.writeable
+        with pytest.raises(ValueError):
+            mtilde[0, 0] = 1.0
+        assert fourier._cached_mtilde.cache_info().currsize <= fourier._MTILDE_MEMO
 
 
 def _hermitian_pure(psi):

@@ -1,7 +1,4 @@
-import gc
 import math
-import sys
-import threading
 import warnings
 from fractions import Fraction
 
@@ -204,7 +201,7 @@ def test_a_perturbation_moves_values_by_at_most_its_norm_times_the_kernel_norm(s
         assert abs(direct_eval(delta, parity, theta, phi)) <= limit
 
 
-# build_parity and transform_parity memoize the per-(d, s) kernel.
+# build_parity memoizes one operator per (2J, s); transform_parity is not memoized.
 
 def test_memoized_parity_keeps_the_sign_of_zero_s():
     dim = SpinDimension.from_d(5)
@@ -216,92 +213,32 @@ def test_memoized_parity_keeps_the_sign_of_zero_s():
     assert build_parity(dim, -0.0) is not build_parity(dim, 0.0)
 
 
-def test_a_hand_built_operator_gets_its_own_transform():
-    dim = SpinDimension.from_d(6)
-    basis = jy_eigenbasis(dim)
-    built = build_parity(dim, 0.0)
-    mtilde = transform_parity(built, basis)
-    doubled = ParityOperator(dim=dim, s=0.0, diag=2 * built.diag)  # same (d, s)
-    assert transform_parity(doubled, basis).tobytes() == (2 * mtilde).tobytes()
-    assert transform_parity(built, basis) is mtilde
-    copied = ParityOperator(dim=dim, s=0.0, diag=built.diag.copy())
-    assert np.array_equal(transform_parity(copied, basis), mtilde)
-    # Another basis object, read-only too, gets its own transform.
-    twisted = basis.vectors * np.exp(1j * np.arange(dim.d))
-    twisted.setflags(write=False)
-    other = EigenBasis(dim=dim, eigenvalues=basis.eigenvalues, vectors=twisted)
-    expected = (twisted.conj().T * built.diag) @ twisted
-    assert transform_parity(built, other).tobytes() == expected.tobytes()
-
-
-def test_memoized_diagonal_and_transform_are_read_only():
+def test_memoized_diagonal_is_read_only():
     dim = SpinDimension.from_d(7)
     built = build_parity(dim, -0.5)
-    mtilde = transform_parity(built, jy_eigenbasis(dim))
     assert build_parity(dim, -0.5) is built
-    assert transform_parity(build_parity(dim, -0.5), jy_eigenbasis(dim)) is mtilde
-    for array in (built.diag, mtilde):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 1.0
+    assert not built.diag.flags.writeable
+    with pytest.raises(ValueError):
+        built.diag[0] = 1.0
 
 
-def test_memos_hold_at_most_their_stated_number_of_entries():
+def test_the_parity_memo_holds_at_most_its_stated_entries():
     dim = SpinDimension.from_d(3)
     assert parity_module._cached_parity.cache_info().maxsize == parity_module._PARITY_MEMO
     for s in np.linspace(-1.0, 1.0, parity_module._PARITY_MEMO + 5):
         build_parity(dim, s)
         assert parity_module._cached_parity.cache_info().currsize <= parity_module._PARITY_MEMO
+
+
+def test_transform_parity_reads_the_basis_it_is_given_on_every_call():
+    # A read-only view of a writable array can still change under it.
+    dim = SpinDimension.from_d(6)
     basis = jy_eigenbasis(dim)
-    for k in range(parity_module._TRANSFORM_MEMO + 3):
-        transform_parity(ParityOperator(dim=dim, s=0.0, diag=np.full(3, k + 1.0)), basis)
-        assert len(parity_module._transformed) <= parity_module._TRANSFORM_MEMO
-    # A hit makes its entry the most recently used one.
-    first = ParityOperator(dim=dim, s=0.0, diag=np.full(3, 1.0))
-    kept = transform_parity(first, basis)
-    for k in range(parity_module._TRANSFORM_MEMO + 1):
-        transform_parity(ParityOperator(dim=dim, s=0.0, diag=np.full(3, k + 2.0)), basis)
-        assert transform_parity(first, basis) is kept
-    # An entry whose basis is freed goes at the next miss.
+    parity = build_parity(dim, 0.0)
     vectors = basis.vectors.copy()
-    vectors.setflags(write=False)
-    freed = EigenBasis(dim=dim, eigenvalues=basis.eigenvalues, vectors=vectors)
-    transform_parity(build_parity(dim, 0.0), freed)
-    del freed
-    gc.collect()
-    transform_parity(build_parity(dim, 0.0), basis)
-    assert all(ref() is not None for ref, _ in parity_module._transformed.values())
-
-
-def test_the_transform_memo_holds_under_threads():
-    # More operators than entries, so threads keep evicting each other's.
-    dim = SpinDimension.from_d(4)
-    basis = jy_eigenbasis(dim)
-    u = basis.vectors
-    ops = [ParityOperator(dim=dim, s=0.0, diag=np.full(4, k + 1.0))
-           for k in range(2 * parity_module._TRANSFORM_MEMO)]
-    expected = [((u.conj().T * op.diag) @ u).tobytes() for op in ops]
-    wrong = []
-
-    def work(offset):
-        try:
-            for i in range(400):
-                k = (i + offset) % len(ops)
-                if transform_parity(ops[k], basis).tobytes() != expected[k]:
-                    wrong.append(k)
-        except Exception as exc:  # a lost update can raise inside the dict sweep
-            wrong.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
-    assert len(parity_module._transformed) <= parity_module._TRANSFORM_MEMO
+    view = vectors.view()
+    view.setflags(write=False)
+    other = EigenBasis(dim=dim, eigenvalues=basis.eigenvalues, vectors=view)
+    before = transform_parity(parity, other)
+    vectors *= 2.0
+    assert transform_parity(parity, other).tobytes() == (4 * before).tobytes()
