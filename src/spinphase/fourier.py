@@ -4,18 +4,22 @@ A spin-J phase-space function is a finite Fourier series with frequencies
 |ell|, |m| <= 2J.  Its coefficient table is obtained from the density
 matrix by a linear map built from the K_ell transformation matrices; each
 K_ell couples one theta frequency to every phi frequency through the
-diagonals of the density matrix.  Methods c and d share ``_fill_table``,
-which lays rho out once per table and then, per K_ell, forms only the
-products on rho's nonzero diagonals and sums each diagonal in a fixed
-order (``_RowSums``).  Method c builds each K_ell as one d x d product
-unless rho allows a path with no K_ell.  When rho's nonzero diagonals hold
-few cells (Dicke, GHZ), each such diagonal m is one BLAS product whose
-diagonal sums, by the same ``_RowSums`` with Mtilde in rho's place, are
-column m of the table (``_few_diagonal_table``).  An exactly Hermitian
-rank-one rho (a pure state) of at least _RANK_ONE_MIN_D levels gets its
-rows from two FFTs over the levels (``_rank_one_table``).  Method d's loop
-runs on two threads when the process may use two CPUs; method c's stays
-on one.
+diagonals of the density matrix.  Entry [ell, m] is one bilinear form: a
+sum over levels i and basis vectors nu of rho[i, i+m] Mtilde[nu, nu+ell]
+times basis terms.  Every table built from per-index products comes from
+one loop, ``_fill_table``: it lays one matrix out once per table
+(``_RowSums``) and, per index, forms only the products on that matrix's
+nonzero diagonals and sums each diagonal in a fixed order.  Methods c and
+d sum over nu first: row ell is the diagonal sums of rho against K_ell,
+built as one d x d product (method c) or read from the cache (method d).
+When rho's nonzero diagonals hold few cells (Dicke, GHZ), method c sums
+over i first: column m is the diagonal sums of Mtilde against one BLAS
+product per nonzero diagonal m of rho (``_diagonal_product``), the same
+loop with rho and Mtilde swapped, whose table comes back transposed.  An
+exactly Hermitian rank-one rho (a pure state) of at least _RANK_ONE_MIN_D
+levels gets its rows from two FFTs over the levels (``_rank_one_table``).
+Method d's loop runs on two threads when the process may use two CPUs;
+method c's stays on one.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ _PAIRWISE_THRESHOLD = 256
 _ENTRIES_PER_CALL = 1024
 
 # Method c takes a rho whose nonzero diagonals hold at most d^2 /
-# _FEW_DIAGONAL_GATE cells through ``_few_diagonal_table`` instead of building
+# _FEW_DIAGONAL_GATE cells through ``_diagonal_product`` instead of building
 # every K_ell.  Its products cost d^2 complex multiply-adds per cell on those
 # diagonals, the full build's d^2 per cell of rho.  The value is the measured
 # crossover of the per-diagonal einsum build that path replaced (banded random
@@ -157,8 +161,9 @@ def _nonzero_diagonals(matrix: np.ndarray) -> np.ndarray:
 
 
 class _RowSums:
-    """One rho laid out for ``accumulate_row``, prepared once per table.
+    """One matrix rho laid out for ``accumulate_row``, prepared once per table.
 
+    rho is a density matrix, or Mtilde when method c sums over i first.
     Entry m + d - 1 of a row is sum_i rho[i, i+m] K[i+m, i] (array indices):
     the sum of diagonal k = -m of rho^T * K.  rho^T is stored C-contiguous,
     so the product reads K contiguously, and each term has the same operands
@@ -179,7 +184,6 @@ class _RowSums:
     def __init__(self, rho: np.ndarray):
         d = rho.shape[0]
         self.rho_t = np.ascontiguousarray(rho.T)
-        self.hermitian = np.array_equal(self.rho_t, self.rho_t.conj().T)
         self.offsets = _nonzero_diagonals(self.rho_t)  # diagonals k = -m of rho^T * K to sum
         self.columns = self.offsets + (d - 1)  # their skew columns
         self.places = (d - 1) - self.offsets  # and their row entries m + d - 1
@@ -220,17 +224,14 @@ class _RowSums:
         return out
 
 
-def accumulate_row(rho, k_matrix: np.ndarray) -> np.ndarray:
+def accumulate_row(rows: _RowSums, k_matrix: np.ndarray) -> np.ndarray:
     """All phi-frequency coefficients carried by one K matrix.
 
     Returns the length-(4J+1) vector with entries
-    sum_lambda rho_{lambda, lambda+m} [K]_{lambda+m, lambda}, m ascending.
-    ``rho`` is a density matrix or the ``_RowSums`` that ``_fill_table``
-    prepares from one once per table.
+    sum_lambda rho_{lambda, lambda+m} [K]_{lambda+m, lambda}, m ascending,
+    for the rho that ``rows`` was prepared from.
     """
-    if not isinstance(rho, _RowSums):
-        rho = _RowSums(rho)
-    return rho.row(k_matrix)
+    return rows.row(k_matrix)
 
 
 def _usable_cpus() -> int:
@@ -277,59 +278,57 @@ def _on_two_threads(ells: range, fill: Callable[[int, _RowSums], None],
         raise errors[min(errors)]
 
 
-def _fill_table(rho, dim: SpinDimension, s: float,
+def _fill_table(rows: _RowSums, hermitian: bool, ells,
                 k_of_ell: Callable[[int], np.ndarray],
                 on_mirrored: Callable[[int], object] | None = None,
-                two_threads: bool = False) -> FourierTable:
-    """Table whose row ell is accumulate_row(rho, k_of_ell(ell)), for methods c and d.
+                two_threads: bool = False) -> np.ndarray:
+    """Coefficient array whose row ell is accumulate_row(rows, k_of_ell(ell)), ell in ``ells``.
 
-    ``rho`` is a density matrix, laid out here as one ``_RowSums`` for the
-    whole table, or a ``_RowSums`` prepared from one, used as it is.
-    Method c calls this only for its full build: its other paths need no
-    ``_RowSums`` of rho.
+    ``rows`` is one ``_RowSums``, prepared by the caller for the whole
+    table; its dimension d sizes the (2d - 1) x (2d - 1) array.  Rows not in
+    ``ells`` stay zero.  Methods c and d pass every ell with K_ell for
+    ``k_of_ell``; method c's few-diagonal path passes rho's nonzero
+    diagonals m with Mtilde in ``rows`` and transposes the result.
 
-    An exactly Hermitian rho has a real phase-space function, so
-    F_{-ell,-m} = conj(F_{ell m}): only the rows ell >= 0 are accumulated and
-    the rows ell < 0 are their conjugated, reversed copies.  Row 0 mirrors
-    its own m > 0 half onto m < 0 and keeps Re F_00, so the table is exactly
-    conjugate-symmetric and sampling.sample_fft synthesizes a real grid.
-    ``on_mirrored`` is called with each ell < 0 instead of ``k_of_ell``.
-    Any other operator, even one ulp from Hermitian, takes every row from
-    its own K.
+    ``hermitian`` says that the caller found rho exactly Hermitian, so its
+    phase-space function is real and F_{-ell,-m} = conj(F_{ell m}): only the
+    rows ell >= 0 are accumulated and the rows ell < 0 are their conjugated,
+    reversed copies.  Row 0 mirrors its own m > 0 half onto m < 0 and keeps
+    Re F_00, so the array is exactly conjugate-symmetric, transposed or not,
+    and sampling.sample_fft synthesizes a real grid.  ``on_mirrored`` is
+    called with each ell < 0 instead of ``k_of_ell``.  Any other operator,
+    even one ulp from Hermitian, takes every row from its own product.
 
-    With ``two_threads`` (method d) and at least two usable CPUs, the
-    calling thread takes the even ell and one helper thread the odd ell,
-    each calling ``k_of_ell``/``on_mirrored`` for its own ell.  Method d's
-    record reads, CRCs and large NumPy products release the GIL, so the two
-    overlap; each row is computed as on one thread, so the table is the same
-    bytes.  Method c stays on one thread: BLAS already threads its K
-    products.  On one CPU no thread is started.
+    With ``two_threads`` (method d, whose ``ells`` is a ``range``) and at
+    least two usable CPUs, the calling thread takes the even ell and one
+    helper thread the odd ell, each calling ``k_of_ell``/``on_mirrored`` for
+    its own ell.  Method d's record reads, CRCs and large NumPy products
+    release the GIL, so the two overlap; each row is computed as on one
+    thread, so the table is the same bytes.  Method c stays on one thread:
+    BLAS already threads its products.  On one CPU no thread is started.
 
     ``accumulate_row`` is looked up as a module global, so wrappers of it see
-    both methods.  With two threads, wrappers of it or of the record reader
+    every table.  With two threads, wrappers of it or of the record reader
     run on both, and times they record add up over the two.
     """
-    two_j = dim.two_j
-    prepared = rho if isinstance(rho, _RowSums) else _RowSums(rho)
-    hermitian = prepared.hermitian
-    coeffs = np.zeros((2 * two_j + 1, 2 * two_j + 1), dtype=complex)
+    d = rows.rho_t.shape[0]
+    coeffs = np.zeros((2 * d - 1, 2 * d - 1), dtype=complex)
 
-    def fill(ell: int, rows: _RowSums) -> None:
+    def fill(ell: int, own: _RowSums) -> None:
         if hermitian and ell < 0:
             if on_mirrored is not None:
                 on_mirrored(ell)
         else:
-            coeffs[ell + two_j] = accumulate_row(rows, k_of_ell(ell))
+            coeffs[ell + d - 1] = accumulate_row(own, k_of_ell(ell))
 
-    ells = range(-two_j, two_j + 1)
     if two_threads and _usable_cpus() >= 2:
-        _on_two_threads(ells, fill, prepared)
+        _on_two_threads(ells, fill, rows)
     else:
         for ell in ells:
-            fill(ell, prepared)
+            fill(ell, rows)
     if hermitian:
         _mirror_hermitian(coeffs)
-    return FourierTable(dim=dim, s=s, coeffs=coeffs)
+    return coeffs
 
 
 def _mirror_hermitian(coeffs: np.ndarray) -> None:
@@ -408,34 +407,20 @@ def _rank_one_table(a: np.ndarray, c: float, u: np.ndarray, mtilde: np.ndarray) 
     return coeffs
 
 
-def _few_diagonal_table(rho: np.ndarray, diagonals: np.ndarray, hermitian: bool,
-                        u: np.ndarray, mtilde: np.ndarray) -> np.ndarray:
-    """Coefficient array of rho from one product per nonzero diagonal m of rho, without any K_ell.
+def _diagonal_product(rho: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
+    """X_m^T for diagonal m of rho, over the cells where rho[i, i+m] is nonzero.
 
-    Entry [ell, m] is sum_i rho[i, i+m] K_ell[i+m, i]
+    Entry [ell, m] of the table is sum_i rho[i, i+m] K_ell[i+m, i]
     = sum_nu Mtilde[nu, nu+ell] X_m[nu, nu+ell] with
     X_m = sum_i rho[i, i+m] U[i+m, :]^T conj(U[i, :]), so column m is
-    accumulate_row(Mtilde, X_m^T): the row sums of every other path, with
-    Mtilde in rho's place and X_m^T, in K's.  X_m^T is one (d x E) @ (E x d)
-    product over the E cells i where rho[i, i+m] is nonzero.  Columns of
-    diagonals that are all zero stay zero.  An exactly Hermitian rho
-    computes only m >= 0 and mirrors the rest as ``_fill_table`` mirrors
-    rows, so the table is exactly conjugate-symmetric.
+    accumulate_row(_RowSums(Mtilde), X_m^T): the row sums of every other
+    path, with Mtilde in rho's place and X_m^T in K's.  X_m^T is one
+    (d x E) @ (E x d) product over the E cells i where rho[i, i+m] is nonzero.
     """
-    d = u.shape[0]
-    rows = _RowSums(mtilde)
-    coeffs = np.zeros((2 * d - 1, 2 * d - 1), dtype=complex)
-    for m in map(int, diagonals):
-        if hermitian and m < 0:
-            continue
-        w = np.diagonal(rho, m)  # rho[i, i+m] from i = max(0, -m)
-        cells = np.flatnonzero(w)
-        i = cells + max(0, -m)
-        x_t = u[i].conj().T @ (w[cells, None] * u[i + m])
-        coeffs[:, m + d - 1] = accumulate_row(rows, x_t)
-    if hermitian:
-        _mirror_hermitian(coeffs.T)
-    return coeffs
+    w = np.diagonal(rho, m)  # rho[i, i+m] from i = max(0, -m)
+    cells = np.flatnonzero(w)
+    i = cells + max(0, -m)
+    return u[i].conj().T @ (w[cells, None] * u[i + m])
 
 
 @lru_cache(maxsize=_MTILDE_MEMO)
@@ -454,16 +439,18 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     """Fourier coefficients with K matrices built on the fly and discarded.
 
     O(d^4) time for a general rho, O(d^2) memory: one K matrix exists at a
-    time.  rho is scanned once for Hermitian-ness and its nonzero diagonals.
-    A rho whose nonzero diagonals hold E <= d^2 / _FEW_DIAGONAL_GATE cells
-    builds no K_ell: ``_few_diagonal_table`` forms one product per diagonal
-    over its nonzero cells, in O(d^2) time per diagonal and per nonzero cell:
-    O(d^2) for Dicke and GHZ states once Mtilde is built, which
-    ``_cached_mtilde`` keeps for the next call.  Any other exactly
-    Hermitian rho of at least _RANK_ONE_MIN_D levels that is a a^H / c to
-    rounding (a pure state) builds none either: ``_rank_one_table`` gets its
-    rows from two FFTs in O(d^3) time.  Every other rho takes the full
-    build, whose ``_fill_table`` lays rho out for its row sums.
+    time.  rho is scanned once for Hermitian-ness and its nonzero diagonals,
+    before the path is chosen.  A rho whose nonzero diagonals hold
+    E <= d^2 / _FEW_DIAGONAL_GATE cells builds no K_ell: ``_fill_table``
+    runs over those diagonals m with Mtilde's ``_RowSums`` and one
+    ``_diagonal_product`` X_m^T each, in O(d^2) time per diagonal and per
+    nonzero cell (O(d^2) for Dicke and GHZ states once Mtilde is built,
+    which ``_cached_mtilde`` keeps for the next call), and its rows are the
+    table's columns.  Any other exactly Hermitian rho of at least
+    _RANK_ONE_MIN_D levels that is a a^H / c to rounding (a pure state)
+    builds none either: ``_rank_one_table`` gets its rows from two FFTs in
+    O(d^3) time.  Every other rho takes the full build: ``_fill_table`` over
+    every ell with rho's ``_RowSums`` and K_ell.
     """
     dim = parity.dim
     rho = as_density_matrix(rho, dim)
@@ -475,12 +462,15 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     d = dim.d
     cells = int(np.sum(d - np.abs(diagonals)))
     if cells * _FEW_DIAGONAL_GATE <= d * d:
-        coeffs = _few_diagonal_table(rho, diagonals, hermitian, u, mtilde)
-        return FourierTable(dim=dim, s=parity.s, coeffs=coeffs)
-    factor = _rank_one_factor(rho) if hermitian and d >= _RANK_ONE_MIN_D else None
-    if factor is not None:
-        return FourierTable(dim=dim, s=parity.s, coeffs=_rank_one_table(*factor, u, mtilde))
-    return _fill_table(rho, dim, parity.s, lambda ell: _k_matrix(u, mtilde, ell))
+        # The columns' array, transposed: a view, not a (2d - 1)^2 copy.
+        coeffs = _fill_table(_RowSums(mtilde), hermitian, diagonals,
+                             lambda m: _diagonal_product(rho, u, m)).T
+    elif hermitian and d >= _RANK_ONE_MIN_D and (factor := _rank_one_factor(rho)) is not None:
+        coeffs = _rank_one_table(*factor, u, mtilde)
+    else:
+        coeffs = _fill_table(_RowSums(rho), hermitian, range(1 - d, d),
+                             lambda ell: _k_matrix(u, mtilde, ell))
+    return FourierTable(dim=dim, s=parity.s, coeffs=coeffs)
 
 
 def derivative_coefficients(table: FourierTable, variable: str) -> FourierTable:

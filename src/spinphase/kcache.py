@@ -12,12 +12,14 @@ payload bytes (``_checksum.crc32``, the values of ``zlib.crc32``).
 K_{-ell} is K_ell^H, so ``precompute_cache`` builds one product per +-ell
 pair and writes record -ell as the exact conjugate transpose of record ell.
 Method d reads every record whole, through one unbuffered ``FileIO`` per
-record, and checks its CRC on every call.  When the process may use two
-CPUs, ``fourier._fill_table`` splits the records between the calling thread
-(even ell) and one helper thread (odd ell); each reads, verifies and
-accumulates its own, and the error of the smallest failing ell is raised,
-as on one thread.  A traced run therefore sums read and accumulation times
-over both threads, and they can exceed the time of the method-d call.
+record, and checks its CRC on every call.  It decides whether rho is
+exactly Hermitian itself and fills its rows through ``fourier._fill_table``,
+the loop method c uses.  When the process may use two CPUs, that loop
+splits the records between the calling thread (even ell) and one helper
+thread (odd ell); each reads, verifies and accumulates its own, and the
+error of the smallest failing ell is raised, as on one thread.  A traced
+run therefore sums read and accumulation times over both threads, and they
+can exceed the time of the method-d call.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from ._checksum import crc32
 from .angular import EigenBasis, SpinDimension, jy_eigenbasis
-from .fourier import FourierTable, _fill_table, _k_matrix
+from .fourier import FourierTable, _fill_table, _k_matrix, _RowSums
 from .parity import ParityOperator, build_parity, transform_parity, validate_s
 from .states import as_density_matrix
 
@@ -309,5 +311,7 @@ def fourier_coefficients_method_d(rho: np.ndarray, cache: KCache) -> FourierTabl
     dim = cache.dim
     rho = as_density_matrix(rho, dim)
     cache.manifest()  # lists every record, or raises
-    return _fill_table(rho, dim, cache.s, cache.read_k, on_mirrored=cache.read_k,
-                       two_threads=True)
+    hermitian = np.array_equal(rho, rho.conj().T)
+    coeffs = _fill_table(_RowSums(rho), hermitian, range(-dim.two_j, dim.two_j + 1),
+                         cache.read_k, on_mirrored=cache.read_k, two_threads=True)
+    return FourierTable(dim=dim, s=cache.s, coeffs=coeffs)

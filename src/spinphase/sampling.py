@@ -114,10 +114,11 @@ def _synthesize(table: FourierTable, n: int, rows: int) -> np.ndarray:
     contiguous rows of the transposed, zero-padded table; only its first
     ``rows`` outputs are copied back, as grid rows.  Step 2 (phi) is a
     length-n transform along each kept row.  An exactly conjugate-symmetric
-    table, F_{-ell,-m} = conj(F_{ell m}) with no tolerance (the rule of
-    fourier._fill_table), describes a real function: only its columns
-    m >= 0 go through step 1, step 2 is a real-output transform, and every
-    imaginary part is +0.0.  Any other table keeps both transforms complex.
+    table, F_{-ell,-m} = conj(F_{ell m}) with no tolerance, describes a real
+    function; methods c and d build one, on each of their paths, for every
+    rho that they find exactly Hermitian.  Only its columns m >= 0 go
+    through step 1, step 2 is a real-output transform, and every imaginary
+    part is +0.0.  Any other table keeps both transforms complex.
     The symmetry test compares rows 0..2J with the conjugated reverse of rows
     4J..2J, which covers every pair, and the real output is written straight
     into the real parts of a zeroed complex grid.

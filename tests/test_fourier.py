@@ -294,7 +294,7 @@ def test_mirrored_rows_match_rows_built_from_their_own_k(d, s, tmp_path):
     # The half path fills ell < 0 from ell > 0, so criterion 4's Hermitian
     # symmetry check passes by construction there; here every ell < 0 row is
     # built from K_ell itself, which keeps K_{-ell} = K_ell^H under test.
-    from spinphase.fourier import _k_matrix, accumulate_row
+    from spinphase.fourier import _k_matrix, _RowSums, accumulate_row
 
     dim = SpinDimension.from_d(d)
     rho = random_density(dim, 40 + d)
@@ -302,7 +302,7 @@ def test_mirrored_rows_match_rows_built_from_their_own_k(d, s, tmp_path):
     parity = build_parity(dim, s)
     mtilde = transform_parity(parity, basis)
     two_j = dim.two_j
-    direct = np.array([accumulate_row(rho, _k_matrix(basis.vectors, mtilde, ell))
+    direct = np.array([accumulate_row(_RowSums(rho), _k_matrix(basis.vectors, mtilde, ell))
                        for ell in range(-two_j, 0)])
     for table in (fourier_coefficients_method_c(rho, parity),
                   fourier_coefficients_method_d(rho, precompute_cache(dim, s, tmp_path))):
@@ -313,14 +313,14 @@ def test_mirrored_rows_match_rows_built_from_their_own_k(d, s, tmp_path):
 def test_mirrored_half_of_row_zero_matches_its_own_k(d, tmp_path):
     # Row 0 keeps its m >= 0 half from K_0 and mirrors the rest, so here the
     # m < 0 half of accumulate_row(rho, K_0) keeps K_0 = K_0^H under test.
-    from spinphase.fourier import _k_matrix, accumulate_row
+    from spinphase.fourier import _k_matrix, _RowSums, accumulate_row
 
     dim = SpinDimension.from_d(d)
     rho = random_density(dim, 50 + d)
     basis = jy_eigenbasis(dim)
     parity = build_parity(dim, 0.0)
     two_j = dim.two_j
-    row0 = accumulate_row(rho, _k_matrix(basis.vectors, transform_parity(parity, basis), 0))
+    row0 = accumulate_row(_RowSums(rho), _k_matrix(basis.vectors, transform_parity(parity, basis), 0))
     for table in (fourier_coefficients_method_c(rho, parity),
                   fourier_coefficients_method_d(rho, precompute_cache(dim, 0.0, tmp_path))):
         assert np.abs(table.coeffs[two_j, :two_j] - row0[:two_j]).max() < 1e-13
@@ -471,7 +471,6 @@ def test_fused_rows_match_the_reference_formula_bit_for_bit(d):
         prepared = _RowSums(rho)
         for _ in range(2):  # the skew buffer is reused row after row
             assert accumulate_row(prepared, k).tobytes() == expected, name
-        assert accumulate_row(rho, k).tobytes() == expected, name
         k = _wide_range(rng, d)
 
 
@@ -479,11 +478,11 @@ def test_fused_rows_match_the_reference_formula_bit_for_bit(d):
 def test_running_sums_start_from_positive_zero(d):
     # rho_ii * K_ii underflows to -0.0 on the whole main diagonal; np.add.at
     # starts from +0.0, so the coefficient is +0.0, not -0.0.
-    from spinphase.fourier import accumulate_row
+    from spinphase.fourier import _RowSums, accumulate_row
 
     for rho in (np.diag(np.full(d, 1e-300 + 0j)), np.full((d, d), 1e-300 + 0j)):
         k = np.full((d, d), -1e-300 + 0j)
-        row = accumulate_row(rho, k)
+        row = accumulate_row(_RowSums(rho), k)
         assert row.tobytes() == _reference_row(rho, k).tobytes()
         assert not np.signbit(row[d - 1].real)
 
@@ -574,11 +573,12 @@ def test_two_thread_method_d_tables_match_one_thread_tables(d, tmp_path, monkeyp
             "one ulp": one_ulp}
     try:
         for name, rho in rhos.items():
-            serial = fourier._fill_table(rho, dim, 0.0, read_k, on_mirrored=read_k)
+            serial = fourier._fill_table(fourier._RowSums(rho), np.array_equal(rho, rho.conj().T),
+                                         range(1 - d, d), read_k, on_mirrored=read_k)
             readers.clear()
             table = fourier_coefficients_method_d(rho, cache)
             assert len(readers) == 2, name
-            assert table.coeffs.tobytes() == serial.coeffs.tobytes(), name
+            assert table.coeffs.tobytes() == serial.tobytes(), name
     finally:
         shutil.rmtree(cache.directory)  # 540 MB at d = 257
 
@@ -656,8 +656,8 @@ def _full_k_tables(rhos, dim, s):
     basis = jy_eigenbasis(dim)
     mtilde = transform_parity(build_parity(dim, s), basis)
     prepared = [fourier._RowSums(rho) for rho in rhos]
-    first = [0 if np.array_equal(p.rho_t, p.rho_t.conj().T) else -dim.two_j
-             for p in prepared]
+    hermitian = [np.array_equal(rho, rho.conj().T) for rho in rhos]
+    first = [0 if h else -dim.two_j for h in hermitian]
     rows = [{} for _ in rhos]
     for ell in range(-dim.two_j, dim.two_j + 1):
         k = compute_k(basis, mtilde, ell)
@@ -666,7 +666,8 @@ def _full_k_tables(rhos, dim, s):
                 r[ell] = p.row(k)
     for p, r in zip(prepared, rows):
         p.row = r.__getitem__  # k_of_ell below passes ell itself: replay its row
-    return [fourier._fill_table(p, dim, s, lambda ell: ell).coeffs for p in prepared]
+    ells = range(-dim.two_j, dim.two_j + 1)
+    return [fourier._fill_table(p, h, ells, lambda ell: ell) for p, h in zip(prepared, hermitian)]
 
 
 def _assert_matches_full_k(table, reference, rho, parity, name):
@@ -765,6 +766,26 @@ def test_method_c_and_d_agree_on_dicke_and_ghz(d, tmp_path):
             assert np.abs(table_c - table_d).max() <= 1e-13 * np.abs(table_d).max()
     finally:
         shutil.rmtree(cache.directory)  # 540 MB at d = 257
+
+
+@pytest.mark.parametrize("d", [12, 40])
+def test_tables_do_not_depend_on_the_memory_layout_of_rho(d, tmp_path):
+    # Random rho takes method c's full build and coherent its rank-one path;
+    # GHZ and Dicke take the rank-one path at d = 12 and the few-diagonal
+    # path, whose table is a transposed view, at d = 40.
+    dim = SpinDimension.from_d(d)
+    parity = build_parity(dim, 0.0)
+    cache = precompute_cache(dim, 0.0, tmp_path)
+    rhos = {"random": random_density(dim, d), "ghz": ghz(dim),
+            "coherent": coherent(dim, 0.7, 1.9), "dicke": dicke(dim, dim.j - 1)}
+    for name, rho in rhos.items():
+        wide = np.zeros((2 * d, 2 * d), dtype=complex)
+        wide[::2, ::2] = rho
+        copies = (np.ascontiguousarray(rho), np.asfortranarray(rho), wide[::2, ::2])
+        for build in (lambda r: fourier_coefficients_method_c(r, parity),
+                      lambda r: fourier_coefficients_method_d(r, cache)):
+            tables = [build(r).coeffs.tobytes() for r in copies]
+            assert tables[1] == tables[0] and tables[2] == tables[0], name
 
 
 def _assert_matches_direct_at_three_nodes(rho, parity, name):

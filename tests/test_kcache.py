@@ -100,9 +100,9 @@ def test_corrupt_record_fails_loudly(cache10):
 
 def _serial_error(cache, rho):
     """The error that method d's loop raises on one thread."""
-    dim = cache.dim
     with pytest.raises(kcache.CacheError) as info:
-        fourier._fill_table(rho, dim, cache.s, cache.read_k, on_mirrored=cache.read_k)
+        fourier._fill_table(fourier._RowSums(rho), np.array_equal(rho, rho.conj().T),
+                            range(1 - cache.d, cache.d), cache.read_k, on_mirrored=cache.read_k)
     return info.value
 
 

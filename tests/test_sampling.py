@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spinphase.angular import SpinDimension
-from spinphase.fourier import FourierTable, fourier_coefficients_method_c
+from spinphase.fourier import (FourierTable, derivative_coefficients,
+                               fourier_coefficients_method_c)
 from spinphase.parity import build_parity, sphere_radius
 from spinphase.sampling import (direct_eval, direct_grid, grid_phis, grid_thetas,
                                 method_b_grid, minimal_grid_size, sample_fft,
@@ -334,6 +335,24 @@ def test_sample_fft_is_the_first_half_of_the_full_array(hermitian):
     table = fourier_coefficients_method_c(rho, build_parity(dim, 0.0))
     for n in (14, 40):
         assert np.array_equal(sample_fft(table, n).values, sample_fft_full(table, n)[:n])
+
+
+@pytest.mark.parametrize("hermitian", [True, False], ids=["conjugate-symmetric", "general"])
+def test_grids_do_not_depend_on_the_memory_layout_of_the_table(hermitian):
+    d, n = 12, 32
+    dim = SpinDimension.from_d(d)
+    rng = np.random.default_rng(d)
+    general = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = random_density(dim, d) if hermitian else general
+    coeffs = fourier_coefficients_method_c(rho, build_parity(dim, 0.0)).coeffs
+    assert np.array_equal(coeffs, np.conj(coeffs[::-1, ::-1])) == hermitian
+    grids = []
+    for layout in (np.ascontiguousarray(coeffs), np.asfortranarray(coeffs)):
+        table = FourierTable(dim=dim, s=0.0, coeffs=layout)
+        grids.append([sample_fft(t, n).values.tobytes()
+                      for t in (table, derivative_coefficients(table, "theta"),
+                                derivative_coefficients(table, "phi"))])
+    assert grids[1] == grids[0]
 
 
 def test_operators_off_hermitian_keep_the_complex_path():
