@@ -7,24 +7,23 @@ K_ell couples one theta frequency to every phi frequency through the
 diagonals of the density matrix.  Entry [ell, m] is one bilinear form: a
 sum over levels i and basis vectors nu of rho[i, i+m] Mtilde[nu, nu+ell]
 times basis terms.  Every table built from per-index products comes from
-one loop, ``_fill_table``: it lays one matrix out once per table
-(``_RowSums``) and, per index, forms only the products on that matrix's
-nonzero diagonals and sums each diagonal in a fixed order.  Methods c and
-d sum over nu first: row ell is the diagonal sums of rho against K_ell,
-built as one d x d product (method c) or read from the cache (method d).
-When rho's nonzero diagonals hold few cells (Dicke, GHZ), method c sums
-over i first: column m is the diagonal sums of Mtilde against one BLAS
-product per nonzero diagonal m of rho (``_diagonal_product``), the same
-loop with rho and Mtilde swapped, whose table comes back transposed.  An
-exactly Hermitian rank-one rho (a pure state) of at least _RANK_ONE_MIN_D
-levels gets its rows from two FFTs over the levels (``_rank_one_table``).
-Method d's loop runs on two threads when the process may use two CPUs;
-method c's stays on one.
+one loop, ``_fill_table``: from one matrix laid out read-only
+(``_RowSums``) it forms, per index, only the products on that matrix's
+nonzero diagonals and sums each diagonal in a fixed order, in the filling
+thread's own buffer.  Methods c and d sum over nu first: row ell is the
+diagonal sums of rho against K_ell, built as one d x d product (method c)
+or read from the cache (method d).  When rho's nonzero diagonals hold few
+cells (Dicke, GHZ), method c sums over i first: column m is the diagonal
+sums of the memoized Mtilde against one BLAS product per nonzero diagonal
+m of rho (``_diagonal_product``), the same loop with rho and Mtilde
+swapped, whose table comes back transposed.  An exactly Hermitian rank-one
+rho (a pure state) of at least _RANK_ONE_MIN_D levels gets its rows from
+two FFTs over the levels (``_rank_one_table``).  Method d's loop runs on
+two threads when the process may use two CPUs; method c's stays on one.
 """
 
 from __future__ import annotations
 
-import copy
 import os
 import threading
 from collections.abc import Callable
@@ -161,7 +160,7 @@ def _nonzero_diagonals(matrix: np.ndarray) -> np.ndarray:
 
 
 class _RowSums:
-    """One matrix rho laid out for ``accumulate_row``, prepared once per table.
+    """One matrix rho laid out, read-only, for ``accumulate_row``.
 
     rho is a density matrix, or Mtilde when method c sums over i first.
     Entry m + d - 1 of a row is sum_i rho[i, i+m] K[i+m, i] (array indices):
@@ -172,13 +171,13 @@ class _RowSums:
     A diagonal of rho that is all zero is neither multiplied nor summed: its
     terms are 0 * K = +-0, whose sum, from +0.0, is +0.0 (K is finite).  The
     others are summed in a fixed order.  For d <= _PAIRWISE_THRESHOLD the
-    product goes into a zeroed skew buffer in which diagonal k is column
-    k + d - 1, its terms in row order below a first row that stays zero, and
-    each column is a running sum from that row, term by term as
+    product goes into a zeroed skew buffer (``scratch``) in which diagonal k
+    is column k + d - 1, its terms in row order below a first row that stays
+    zero, and each column is a running sum from that row, term by term as
     ``np.add.at`` would add them.  Above it, each diagonal is one pairwise
-    ``np.sum``.  The buffer belongs to this object, so tables built in
-    separate threads share nothing; ``for_another_thread`` gives a second
-    thread of one table its own buffer and shares the rest, which is only read.
+    ``np.sum`` and the buffer is None.  Each thread that fills rows passes
+    its own buffer; nothing here is written after construction, so threads
+    and tables may share one object.
     """
 
     def __init__(self, rho: np.ndarray):
@@ -189,49 +188,43 @@ class _RowSums:
         self.places = (d - 1) - self.offsets  # and their row entries m + d - 1
         self.dense = self.columns.size * _ENTRIES_PER_CALL >= d * d
         self.rho_diagonals = [np.diagonal(self.rho_t, k) for k in self.offsets]
-        self._own_buffer()
+        self.cells = [(slice(1 + max(0, -k), 1 + min(d, d - k)), k + d - 1) for k in self.offsets]
+        for array in (self.rho_t, self.offsets, self.columns, self.places):
+            array.setflags(write=False)
 
-    def _own_buffer(self) -> None:
+    def scratch(self) -> np.ndarray | None:
+        """A zeroed skew buffer for one thread's rows; None above _PAIRWISE_THRESHOLD."""
         d = self.rho_t.shape[0]
-        if d <= _PAIRWISE_THRESHOLD:
-            self.skew = np.zeros((d + 1, 2 * d - 1), dtype=complex)
-            self.cells = _skew_cells(self.skew)
-            self.cell_diagonals = [self.skew[1 + max(0, -k): 1 + min(d, d - k), c]
-                                   for k, c in zip(self.offsets, self.columns)]
+        return np.zeros((d + 1, 2 * d - 1), dtype=complex) if d <= _PAIRWISE_THRESHOLD else None
 
-    def for_another_thread(self) -> _RowSums:
-        other = copy.copy(self)
-        other._own_buffer()
-        return other
-
-    def row(self, k_matrix: np.ndarray) -> np.ndarray:
+    def row(self, k_matrix: np.ndarray, skew: np.ndarray | None) -> np.ndarray:
         d = self.rho_t.shape[0]
         out = np.zeros(2 * d - 1, dtype=complex)
-        if d > _PAIRWISE_THRESHOLD:
+        if skew is None:
             product = self.rho_t * k_matrix if self.dense else None
             for place, k, rho_k in zip(self.places, self.offsets, self.rho_diagonals):
                 terms = np.diagonal(product, k) if self.dense else rho_k * np.diagonal(k_matrix, k)
                 out[place] = np.sum(terms)
         elif self.dense:
-            np.multiply(self.rho_t, k_matrix, out=self.cells)
+            np.multiply(self.rho_t, k_matrix, out=_skew_cells(skew))
             # C-contiguous with >= 3 columns: NumPy adds the rows in order.
-            out[self.places] = np.add.reduce(self.skew, axis=0)[self.columns]
+            out[self.places] = np.add.reduce(skew, axis=0)[self.columns]
         else:
-            for k, rho_k, cells_k in zip(self.offsets, self.rho_diagonals, self.cell_diagonals):
-                np.multiply(rho_k, np.diagonal(k_matrix, k), out=cells_k)
+            for k, rho_k, cells_k in zip(self.offsets, self.rho_diagonals, self.cells):
+                np.multiply(rho_k, np.diagonal(k_matrix, k), out=skew[cells_k])
             # A reduce over one column would sum it pairwise; accumulate never does.
-            out[self.places] = np.add.accumulate(self.skew[:, self.columns], axis=0)[-1]
+            out[self.places] = np.add.accumulate(skew[:, self.columns], axis=0)[-1]
         return out
 
 
-def accumulate_row(rows: _RowSums, k_matrix: np.ndarray) -> np.ndarray:
+def accumulate_row(rows: _RowSums, k_matrix: np.ndarray, skew) -> np.ndarray:
     """All phi-frequency coefficients carried by one K matrix.
 
     Returns the length-(4J+1) vector with entries
     sum_lambda rho_{lambda, lambda+m} [K]_{lambda+m, lambda}, m ascending,
-    for the rho that ``rows`` was prepared from.
+    for the rho that ``rows`` was prepared from; ``skew`` is ``rows.scratch()``.
     """
-    return rows.row(k_matrix)
+    return rows.row(k_matrix, skew)
 
 
 def _usable_cpus() -> int:
@@ -241,20 +234,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _on_two_threads(ells: range, fill: Callable[[int, _RowSums], None],
-                    prepared: _RowSums) -> None:
-    """fill(ell, rows) for every ell: the even ones here, the odd ones on a helper thread.
+def _on_two_threads(ells: range, fill: Callable[[int, object], None],
+                    scratch: Callable[[], object]) -> None:
+    """fill(ell, buffer) for every ell: the even ones here, the odd ones on a helper thread.
 
-    Each thread has its own skew buffer, and a failure stops both threads
-    before any larger ell.  The helper is joined first, then the error of the
-    smallest failing ell is raised: the one the serial loop raises, since
-    every smaller ell has run.
+    Each thread passes its own buffer from ``scratch()``, made before the
+    helper starts, and a failure stops both threads before any larger ell.
+    The helper is joined first, then the error of the smallest failing ell
+    is raised: the one the serial loop raises, since every smaller ell has run.
     """
     lock = threading.Lock()
     errors: dict[int, BaseException] = {}  # at most one per thread
     stop = ells.stop  # smallest failing ell so far
 
-    def work(parity: int, rows: _RowSums) -> None:
+    def work(parity: int, buffer: object) -> None:
         nonlocal stop
         for ell in ells:
             if ell % 2 != parity:
@@ -262,17 +255,17 @@ def _on_two_threads(ells: range, fill: Callable[[int, _RowSums], None],
             if ell > stop:
                 return
             try:
-                fill(ell, rows)
+                fill(ell, buffer)
             except BaseException as exc:
                 with lock:
                     errors[ell] = exc
                     stop = min(stop, ell)
                 return
 
-    helper = threading.Thread(target=work, args=(1, prepared.for_another_thread()),
+    helper = threading.Thread(target=work, args=(1, scratch()),
                               name="spinphase-rows", daemon=True)
     helper.start()
-    work(0, prepared)
+    work(0, scratch())
     helper.join()
     if errors:
         raise errors[min(errors)]
@@ -282,13 +275,13 @@ def _fill_table(rows: _RowSums, hermitian: bool, ells,
                 k_of_ell: Callable[[int], np.ndarray],
                 on_mirrored: Callable[[int], object] | None = None,
                 two_threads: bool = False) -> np.ndarray:
-    """Coefficient array whose row ell is accumulate_row(rows, k_of_ell(ell)), ell in ``ells``.
+    """Coefficient array with row ell = accumulate_row(rows, k_of_ell(ell), skew), ell in ``ells``.
 
-    ``rows`` is one ``_RowSums``, prepared by the caller for the whole
-    table; its dimension d sizes the (2d - 1) x (2d - 1) array.  Rows not in
-    ``ells`` stay zero.  Methods c and d pass every ell with K_ell for
-    ``k_of_ell``; method c's few-diagonal path passes rho's nonzero
-    diagonals m with Mtilde in ``rows`` and transposes the result.
+    ``rows`` is one read-only ``_RowSums`` of dimension d, and each thread
+    that fills rows has its own ``rows.scratch()``.  Rows not in ``ells``
+    stay zero.  Methods c and d pass every ell with K_ell for ``k_of_ell``;
+    method c's few-diagonal path passes rho's nonzero diagonals m with the
+    memoized Mtilde in ``rows`` and transposes the result.
 
     ``hermitian`` says that the caller found rho exactly Hermitian, so its
     phase-space function is real and F_{-ell,-m} = conj(F_{ell m}): only the
@@ -314,18 +307,19 @@ def _fill_table(rows: _RowSums, hermitian: bool, ells,
     d = rows.rho_t.shape[0]
     coeffs = np.zeros((2 * d - 1, 2 * d - 1), dtype=complex)
 
-    def fill(ell: int, own: _RowSums) -> None:
+    def fill(ell: int, skew: np.ndarray | None) -> None:
         if hermitian and ell < 0:
             if on_mirrored is not None:
                 on_mirrored(ell)
         else:
-            coeffs[ell + d - 1] = accumulate_row(own, k_of_ell(ell))
+            coeffs[ell + d - 1] = accumulate_row(rows, k_of_ell(ell), skew)
 
     if two_threads and _usable_cpus() >= 2:
-        _on_two_threads(ells, fill, rows)
+        _on_two_threads(ells, fill, rows.scratch)
     else:
+        skew = rows.scratch()
         for ell in ells:
-            fill(ell, rows)
+            fill(ell, skew)
     if hermitian:
         _mirror_hermitian(coeffs)
     return coeffs
@@ -424,15 +418,16 @@ def _diagonal_product(rho: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=_MTILDE_MEMO)
-def _cached_mtilde(two_j: int, dtype: str, diag: bytes) -> np.ndarray:
-    """Read-only ``transform_parity`` of the parity diagonal with these bytes, in J_y's basis.
+def _cached_mtilde(two_j: int, dtype: str, diag: bytes) -> _RowSums:
+    """Read-only ``_RowSums`` of the Mtilde of the parity diagonal with these bytes.
 
-    Keyed on the diagonal's content, so an operator built by hand never
-    receives another's Mtilde; ``transform_parity`` reads only its dim and diag.
+    Mtilde, ``transform_parity`` in J_y's basis, is ``rho_t.T``.  Keyed on
+    the diagonal's content, so an operator built by hand never receives
+    another's Mtilde; ``transform_parity`` reads only its dim and diag.
     """
     dim = SpinDimension(two_j)
     parity = ParityOperator(dim=dim, s=0.0, diag=np.frombuffer(diag, dtype))
-    return transform_parity(parity, jy_eigenbasis(dim))
+    return _RowSums(transform_parity(parity, jy_eigenbasis(dim)))
 
 
 def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> FourierTable:
@@ -444,7 +439,7 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     E <= d^2 / _FEW_DIAGONAL_GATE cells builds no K_ell: ``_fill_table``
     runs over those diagonals m with Mtilde's ``_RowSums`` and one
     ``_diagonal_product`` X_m^T each, in O(d^2) time per diagonal and per
-    nonzero cell (O(d^2) for Dicke and GHZ states once Mtilde is built,
+    nonzero cell (O(d^2) for Dicke and GHZ states once Mtilde is prepared,
     which ``_cached_mtilde`` keeps for the next call), and its rows are the
     table's columns.  Any other exactly Hermitian rho of at least
     _RANK_ONE_MIN_D levels that is a a^H / c to rounding (a pure state)
@@ -457,19 +452,19 @@ def fourier_coefficients_method_c(rho: np.ndarray, parity: ParityOperator) -> Fo
     hermitian = np.array_equal(rho, rho.conj().T)
     diagonals = _nonzero_diagonals(rho)
     diag = np.asarray(parity.diag)
-    mtilde = _cached_mtilde(dim.two_j, diag.dtype.str, diag.tobytes())
+    mtilde_rows = _cached_mtilde(dim.two_j, diag.dtype.str, diag.tobytes())
     u = jy_eigenbasis(dim).vectors
     d = dim.d
     cells = int(np.sum(d - np.abs(diagonals)))
     if cells * _FEW_DIAGONAL_GATE <= d * d:
         # The columns' array, transposed: a view, not a (2d - 1)^2 copy.
-        coeffs = _fill_table(_RowSums(mtilde), hermitian, diagonals,
+        coeffs = _fill_table(mtilde_rows, hermitian, diagonals,
                              lambda m: _diagonal_product(rho, u, m)).T
     elif hermitian and d >= _RANK_ONE_MIN_D and (factor := _rank_one_factor(rho)) is not None:
-        coeffs = _rank_one_table(*factor, u, mtilde)
+        coeffs = _rank_one_table(*factor, u, mtilde_rows.rho_t.T)
     else:
         coeffs = _fill_table(_RowSums(rho), hermitian, range(1 - d, d),
-                             lambda ell: _k_matrix(u, mtilde, ell))
+                             lambda ell: _k_matrix(u, mtilde_rows.rho_t.T, ell))
     return FourierTable(dim=dim, s=parity.s, coeffs=coeffs)
 
 

@@ -102,6 +102,10 @@ class ParityOperator:
     s: float
     diag: np.ndarray
 
+    def __post_init__(self):
+        if np.shape(self.diag) != (self.dim.d,):
+            raise ValueError(f"parity diag has shape {np.shape(self.diag)}, not ({self.dim.d},)")
+
     def matrix(self) -> np.ndarray:
         return np.diag(self.diag.astype(complex))
 

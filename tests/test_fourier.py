@@ -261,7 +261,8 @@ def _diagonal_sums(h):
     Each term is 1 * h[i, j]: h itself up to the sign of a zero, which no
     sum from +0.0 keeps.
     """
-    return fourier._RowSums(np.ones_like(h)).row(h.T)
+    rows = fourier._RowSums(np.ones_like(h))
+    return rows.row(h.T, rows.scratch())
 
 
 def test_diagonal_sum_branches_agree():
@@ -302,7 +303,8 @@ def test_mirrored_rows_match_rows_built_from_their_own_k(d, s, tmp_path):
     parity = build_parity(dim, s)
     mtilde = transform_parity(parity, basis)
     two_j = dim.two_j
-    direct = np.array([accumulate_row(_RowSums(rho), _k_matrix(basis.vectors, mtilde, ell))
+    rows = _RowSums(rho)
+    direct = np.array([accumulate_row(rows, _k_matrix(basis.vectors, mtilde, ell), rows.scratch())
                        for ell in range(-two_j, 0)])
     for table in (fourier_coefficients_method_c(rho, parity),
                   fourier_coefficients_method_d(rho, precompute_cache(dim, s, tmp_path))):
@@ -320,7 +322,9 @@ def test_mirrored_half_of_row_zero_matches_its_own_k(d, tmp_path):
     basis = jy_eigenbasis(dim)
     parity = build_parity(dim, 0.0)
     two_j = dim.two_j
-    row0 = accumulate_row(_RowSums(rho), _k_matrix(basis.vectors, transform_parity(parity, basis), 0))
+    rows = _RowSums(rho)
+    row0 = accumulate_row(rows, _k_matrix(basis.vectors, transform_parity(parity, basis), 0),
+                          rows.scratch())
     for table in (fourier_coefficients_method_c(rho, parity),
                   fourier_coefficients_method_d(rho, precompute_cache(dim, 0.0, tmp_path))):
         assert np.abs(table.coeffs[two_j, :two_j] - row0[:two_j]).max() < 1e-13
@@ -332,7 +336,7 @@ def test_hermitian_table_is_exactly_conjugate_symmetric_despite_roundoff(monkeyp
     # inject some into every accumulated row and expect an exact mirror anyway.
     accumulate = fourier.accumulate_row
     monkeypatch.setattr(fourier, "accumulate_row",
-                        lambda rho, k: accumulate(rho, k) + (1e-19 + 3e-19j))
+                        lambda rows, k, skew: accumulate(rows, k, skew) + (1e-19 + 3e-19j))
     dim = SpinDimension.from_d(7)
     rho = random_density(dim, 3)
     table = fourier_coefficients_method_c(rho, build_parity(dim, 0.0))
@@ -469,8 +473,9 @@ def test_fused_rows_match_the_reference_formula_bit_for_bit(d):
     for name, rho in _accumulation_inputs(d, rng).items():
         expected = _reference_row(rho, k).tobytes()
         prepared = _RowSums(rho)
+        skew = prepared.scratch()
         for _ in range(2):  # the skew buffer is reused row after row
-            assert accumulate_row(prepared, k).tobytes() == expected, name
+            assert accumulate_row(prepared, k, skew).tobytes() == expected, name
         k = _wide_range(rng, d)
 
 
@@ -482,7 +487,8 @@ def test_running_sums_start_from_positive_zero(d):
 
     for rho in (np.diag(np.full(d, 1e-300 + 0j)), np.full((d, d), 1e-300 + 0j)):
         k = np.full((d, d), -1e-300 + 0j)
-        row = accumulate_row(_RowSums(rho), k)
+        prepared = _RowSums(rho)
+        row = accumulate_row(prepared, k, prepared.scratch())
         assert row.tobytes() == _reference_row(rho, k).tobytes()
         assert not np.signbit(row[d - 1].real)
 
@@ -491,7 +497,7 @@ def _reference_table(monkeypatch, build, rho):
     """The table ``build`` makes when every row comes from the reference formula."""
     with monkeypatch.context() as patch:
         patch.setattr(fourier, "accumulate_row",
-                      lambda prepared, k: _reference_row(prepared.rho_t.T, k))
+                      lambda prepared, k, skew: _reference_row(prepared.rho_t.T, k))
         return build(rho).coeffs
 
 
@@ -515,7 +521,8 @@ def test_fused_tables_match_the_reference_formula_bit_for_bit(d, s, tmp_path, mo
 
 
 def test_tables_built_in_threads_match_the_serial_tables(tmp_path):
-    # Each table owns its skew buffer; a shared one would mix rows of
+    # Each filling thread of a table has its own skew buffer, while the
+    # memoized Mtilde rows are shared; a shared buffer would mix rows of
     # different states once threads interleave inside NumPy calls.
     import sys
     from concurrent.futures import ThreadPoolExecutor
@@ -663,9 +670,9 @@ def _full_k_tables(rhos, dim, s):
         k = compute_k(basis, mtilde, ell)
         for p, lowest, r in zip(prepared, first, rows):
             if ell >= lowest:
-                r[ell] = p.row(k)
+                r[ell] = p.row(k, p.scratch())
     for p, r in zip(prepared, rows):
-        p.row = r.__getitem__  # k_of_ell below passes ell itself: replay its row
+        p.row = lambda ell, skew, r=r: r[ell]  # k_of_ell below passes ell itself: replay its row
     ells = range(-dim.two_j, dim.two_j + 1)
     return [fourier._fill_table(p, h, ells, lambda ell: ell) for p, h in zip(prepared, hermitian)]
 
@@ -853,13 +860,41 @@ def test_the_mtilde_memo_is_read_only_and_bounded():
     assert fourier._cached_mtilde.cache_info().maxsize == fourier._MTILDE_MEMO
     for k in range(fourier._MTILDE_MEMO + 3):
         diag = np.full(3, k + 1.0)
-        mtilde = fourier._cached_mtilde(dim.two_j, diag.dtype.str, diag.tobytes())
+        rows = fourier._cached_mtilde(dim.two_j, diag.dtype.str, diag.tobytes())
+        mtilde = rows.rho_t.T
         parity = ParityOperator(dim=dim, s=0.0, diag=diag)
         assert mtilde.tobytes() == transform_parity(parity, basis).tobytes()
         assert not mtilde.flags.writeable
         with pytest.raises(ValueError):
             mtilde[0, 0] = 1.0
         assert fourier._cached_mtilde.cache_info().currsize <= fourier._MTILDE_MEMO
+
+
+def test_few_diagonal_tables_reuse_the_memoized_mtilde_rows(monkeypatch):
+    # Mtilde is laid out for the row sums once per memo entry, not once per table.
+    dim = SpinDimension.from_d(64)
+    parity = build_parity(dim, 0.5)
+    row_sums = fourier._RowSums
+    built = []
+
+    def counted(matrix):
+        built.append(matrix.shape)
+        return row_sums(matrix)
+
+    monkeypatch.setattr(fourier, "_RowSums", counted)
+    fourier._cached_mtilde.cache_clear()
+    for rho in (ghz(dim), dicke(dim, dim.j - 7)):
+        fourier_coefficients_method_c(rho, parity)
+    assert len(built) == 1  # the memo's entry
+    built.clear()
+    for rho in (ghz(dim), dicke(dim, dim.j - 1)):
+        fourier_coefficients_method_c(rho, parity)
+    assert built == []
+    diag = parity.diag
+    rows = fourier._cached_mtilde(dim.two_j, diag.dtype.str, diag.tobytes())
+    assert isinstance(rows, row_sums) and rows.rho_t.flags.c_contiguous
+    for array in (rows.rho_t, rows.offsets, rows.columns, rows.places, *rows.rho_diagonals):
+        assert not array.flags.writeable
 
 
 def _hermitian_pure(psi):
@@ -935,9 +970,11 @@ def test_rank_one_tables_match_tables_from_full_k(d, s, monkeypatch):
     def refused(*args):
         raise AssertionError("a rank-one rho needs no K_ell and no row sums")
 
+    parity = build_parity(dim, s)
+    diag = parity.diag  # Mtilde's own rows are prepared once per (d, s), before the refusals
+    fourier._cached_mtilde(dim.two_j, diag.dtype.str, diag.tobytes())
     for name in ("_k_matrix", "_RowSums", "accumulate_row"):
         monkeypatch.setattr(fourier, name, refused)
-    parity = build_parity(dim, s)
     for (name, rho), reference in zip(inputs.items(), references):
         table = fourier_coefficients_method_c(rho, parity).coeffs
         _assert_matches_full_k(table, reference, rho, parity, name)

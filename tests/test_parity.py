@@ -124,6 +124,14 @@ def test_parity_build_is_warning_free_at_large_dimension():
     assert np.all(np.isfinite(parity.diag))
 
 
+@pytest.mark.parametrize("length", [1, 5])
+def test_a_diagonal_of_the_wrong_length_is_refused(length):
+    # Unchecked, a length-1 diagonal broadcasts: method c and direct_eval
+    # return the values of 2 I with no error.  A length-5 one fails in NumPy.
+    with pytest.raises(ValueError, match="shape"):
+        ParityOperator(dim=SpinDimension.from_d(12), s=0.0, diag=np.full(length, 2.0))
+
+
 def test_transform_identity_kernel():
     dim = SpinDimension.from_d(5)
     basis = jy_eigenbasis(dim)
