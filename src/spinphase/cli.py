@@ -167,6 +167,14 @@ def _emit_grid(args, grid: PhaseSpaceGrid, description: str, out=None) -> None:
     print(f"wrote {out}")
 
 
+def _refuse_non_finite(grids) -> None:
+    """CliError if any of ``grids`` holds a value that is not finite, before any output opens."""
+    for grid in grids:
+        if not np.isfinite(grid.values).all():
+            raise CliError(f"the {grid.method} grid is not finite: rho's entries are "
+                           "too large for its values to fit in doubles")
+
+
 def _warn_if_imprecise(bound: float, grids) -> None:
     """One stderr line when ``bound`` exceeds IMPRECISE_SHARE of the peak of any of ``grids``."""
     peaks = [float(np.abs(grid.values).max()) for grid in grids]
@@ -195,13 +203,15 @@ def cmd_compute(args) -> int:
     s = _resolve_s(args)
     rho, description = _build_state(args, dim)
     n = args.n if args.n is not None else default_grid_size(dim)
-    if args.method in TABLE_ROUTES:
-        table = TABLE_ROUTES[args.method](dim, s, _given_root(args))(rho)
-        grid = sample_fft(table, n, method=args.method)
-    elif args.method == "b":
-        grid = method_b_grid(rho, s, n)
-    else:
-        grid = direct_grid(rho, build_parity(dim, s), n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, on one line
+        if args.method in TABLE_ROUTES:
+            table = TABLE_ROUTES[args.method](dim, s, _given_root(args))(rho)
+            grid = sample_fft(table, n, method=args.method)
+        elif args.method == "b":
+            grid = method_b_grid(rho, s, n)
+        else:
+            grid = direct_grid(rho, build_parity(dim, s), n)
+    _refuse_non_finite([grid])
     _warn_if_imprecise(rounding_bound(rho, dim, s), [grid])
     _emit_grid(args, grid, description)
     return 0
@@ -213,10 +223,12 @@ def cmd_deriv(args) -> int:
     s = _resolve_s(args)
     rho, description = _build_state(args, dim)
     n = args.n if args.n is not None else default_grid_size(dim)
-    table = TABLE_ROUTES[args.method](dim, s, _given_root(args))(rho)
     variables = ["theta", "phi"] if args.variable == "grad" else [args.variable]
-    grids = [sample_fft(derivative_coefficients(table, variable), n, method=f"deriv-{variable}")
-             for variable in variables]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, on one line
+        table = TABLE_ROUTES[args.method](dim, s, _given_root(args))(rho)
+        grids = [sample_fft(derivative_coefficients(table, variable), n,
+                            method=f"deriv-{variable}") for variable in variables]
+    _refuse_non_finite(grids)
     # Bernstein's inequality: differentiating a series of degree 2J scales
     # its largest error by at most 2J.
     _warn_if_imprecise(dim.two_j * rounding_bound(rho, dim, s), grids)

@@ -18,8 +18,12 @@ sums of the memoized Mtilde against one BLAS product per nonzero diagonal
 m of rho (``_diagonal_product``), the same loop with rho and Mtilde
 swapped, whose table comes back transposed.  An exactly Hermitian rank-one
 rho (a pure state) of at least _RANK_ONE_MIN_D levels gets its rows from
-two FFTs over the levels (``_rank_one_table``).  Method d's loop runs on
-two threads when the process may use two CPUs; method c's stays on one.
+two FFTs over the levels (``_rank_one_table``), and sums only half of each
+row's spectrum: its table's conjugate symmetry, F[-ell, -m] = conj F[ell, m],
+and the sphere's glide, F[-ell, m] = (-1)^m F[ell, m], give
+F[ell, -m] = (-1)^m conj F[ell, m], so the length-2d spectrum S of a row
+has S[f + d] = conj S[f].  Method d's loop runs on two threads when the
+process may use two CPUs; method c's stays on one.
 """
 
 from __future__ import annotations
@@ -69,7 +73,9 @@ _FEW_DIAGONAL_GATE = 32
 # 0.37 -> 0.33 and 0.36 -> 0.35 ms at d = 10; 0.68 -> 0.53 and 0.66 -> 0.51 ms
 # at d = 20; 4.8 -> 2.0 ms for a coherent state at d = 64), while squeezed,
 # GHZ and Dicke states already gain at d = 6-8 (squeezed 0.26 -> 0.21 ms at
-# d = 8).  A coherent state at d = 320 takes 0.08-0.10 s instead of 1.7 s.
+# d = 8).  Those were measured before the path summed half a spectrum, which
+# only makes it cheaper.  A coherent state at d = 320 takes 0.03-0.05 s
+# instead of 1.7 s.
 _RANK_ONE_MIN_D = 10
 
 # rho counts as a a^H / c when ||rho - a a^H / c||_F <= this many eps ||rho||_F.
@@ -82,12 +88,14 @@ _RANK_ONE_TOLERANCE = 64
 # complex matrix: at most 4 x 16 MB = 64 MB at d = 1000.
 _MTILDE_MEMO = 4
 
-# Rows nu of the rank-one product formed per call: a 32 x 2d buffer, 0.3 MB
-# at d = 320 where a whole (d - ell) x 2d product would take 3.3 MB.  At
-# d = 320, 32 rows took 79 ms per table against 89-93 ms for 16, 64 or 128
-# (one ell at a time); taking every ell per chunk cut that to 44-63 ms
-# against 66-88 ms in the same runs.  The value fixes the order of the sums,
-# so the table's bits.
+# Rows nu of the rank-one product formed per call: a 32 x d buffer, 0.16 MB
+# at d = 320 where a whole (d - ell) x d product would take 1.6 MB.  Per
+# table over the half spectrum (2-vCPU VM, OpenBLAS on one thread, medians
+# of 9 alternating rounds in each of two runs), 32 rows took 11 ms at
+# d = 200, 32-35 ms at d = 320 and 256-257 ms at d = 640, and 64 rows 9 ms,
+# 30-34 ms and 301-320 ms, with 48 rows in between; at d = 1000 (3 rounds)
+# 16, 32 and 64 rows took 0.96, 0.81 and 1.32 s.  The value fixes the order
+# of the sums, so the table's bits.
 _RANK_ONE_CHUNK = 32
 
 
@@ -369,15 +377,18 @@ def _rank_one_table(a: np.ndarray, c: float, u: np.ndarray, mtilde: np.ndarray) 
     that no m wraps around) at each frequency.  Rows ell >= 0 are computed
     so, their sums over nu formed a chunk of nu at a time, for every ell
     before the next chunk, and the rest are mirrored as in
-    ``_fill_table``: O(d^3) time, O(d^2) memory.
+    ``_fill_table``: O(d^3) time, O(d^2) memory.  Only the frequencies
+    f < d are summed: row ell of a Hermitian rho's table has
+    F[ell, -m] = (-1)^m conj F[ell, m] (the module docstring), and
+    (-1)^m = exp(2 pi i m d / 2d), so its spectrum S has S[f + d] = conj S[f].
     """
     d = a.size
     n = 2 * d
-    # Row nu of each is basis vector nu, column f its frequency f.
-    a_hat = np.fft.ifft((u.conj() * a[:, None]).T, n, axis=1, norm="forward")
-    b_hat = np.fft.fft((u * (a.conj() / c)[:, None]).T, n, axis=1)
+    # Row nu of each is basis vector nu, column f its frequency f < d.
+    a_hat = np.fft.ifft((u.conj() * a[:, None]).T, n, axis=1, norm="forward")[:, :d].copy()
+    b_hat = np.fft.fft((u * (a.conj() / c)[:, None]).T, n, axis=1)[:, :d].copy()
     sums = np.empty((d, n), dtype=complex)
-    product = np.empty((min(d, _RANK_ONE_CHUNK), n), dtype=complex)
+    product = np.empty((min(d, _RANK_ONE_CHUNK), d), dtype=complex)
     weights = [np.diagonal(mtilde, ell) for ell in range(d)]
     # Chunk by chunk of nu: its rows of b_hat stay in cache while each next
     # ell moves the rows of a_hat by one, and every sums[ell] still adds its
@@ -388,10 +399,11 @@ def _rank_one_table(a: np.ndarray, c: float, u: np.ndarray, mtilde: np.ndarray) 
             chunk = np.multiply(a_hat[ell + lo:ell + hi], b_hat[lo:hi], out=product[:hi - lo])
             w = weights[ell]
             if lo == 0:
-                np.matmul(w[:hi], chunk, out=sums[ell])
+                np.matmul(w[:hi], chunk, out=sums[ell, :d])
             else:
-                sums[ell] += w[lo:hi] @ chunk
+                sums[ell, :d] += w[lo:hi] @ chunk
     del a_hat, b_hat, product
+    np.conjugate(sums[:, :d], out=sums[:, d:])  # S[f + d] = conj(S[f])
     rows = np.fft.ifft(sums, axis=1)  # entry m at m mod n
     del sums
     coeffs = np.empty((2 * d - 1, 2 * d - 1), dtype=complex)

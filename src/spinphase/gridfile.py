@@ -199,7 +199,8 @@ def read_matrix_csv(stream, d: int | None = None) -> np.ndarray:
 
     With ``d``, the dimension the caller expects, an index >= d is a
     ``GridFileError`` before any allocation, so one stray row cannot ask for
-    gigabytes.
+    gigabytes.  A (row, col) given twice is a ``GridFileError`` too, not a
+    silent overwrite.
     """
     data = _read_csv_rows(stream, "row", "matrix")
     index = data[:, :2]
@@ -208,6 +209,10 @@ def read_matrix_csv(stream, d: int | None = None) -> np.ndarray:
     if d is not None and index.max() >= d:
         raise GridFileError(f"matrix CSV index {index.max():g} does not fit "
                             f"a {d} x {d} matrix")
+    _, first = np.unique(index, axis=0, return_index=True)
+    if first.size < len(index):
+        row, col = index[np.setdiff1d(np.arange(len(index)), first)[0]]
+        raise GridFileError(f"matrix CSV gives entry ({row:g}, {col:g}) more than once")
     size = int(index.max()) + 1
     rho = np.zeros((size, size), dtype=complex)
     rho[tuple(index.astype(int).T)] = data[:, 2] + 1j * data[:, 3]

@@ -147,10 +147,16 @@ def rounding_bound(rho: np.ndarray, dim: SpinDimension, s: float) -> float:
     the products formed from it) to doubles is a delta of about
     eps ||rho||_F.  The T_j0 are orthonormal, so ||M_s||_F = ||diag||_2 is
     the 2-norm of their weights: O(d), with no parity operator built.  The
-    routes' own rounding, about d eps of the peak, comes on top.
+    routes' own rounding, about d eps of the peak, comes on top.  ||rho||_F
+    is taken of rho over its largest real or imaginary part and scaled back,
+    so entries past 1e154 do not overflow its squares; a zero rho gives 0.
     """
     kernel = math.hypot(*_kernel_weights(dim, validate_s(s)))  # cannot overflow midway
-    return float(np.finfo(float).eps * np.linalg.norm(rho) * kernel)
+    rho = np.asarray(rho)
+    peak = float(np.max(np.abs([rho.real, rho.imag]), initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    return float(np.finfo(float).eps * peak * np.linalg.norm(rho / peak) * kernel)
 
 
 def transform_parity(parity: ParityOperator, basis: EigenBasis) -> np.ndarray:

@@ -116,6 +116,38 @@ def test_csv_input_without_full_rows_is_an_error(tmp_path, capsys, body, message
     assert captured.out == ""
 
 
+def test_csv_input_with_a_repeated_entry_is_an_error(tmp_path, capsys):
+    # Assigning both would keep the second silently: rho_00 = 0.25.
+    mfile = tmp_path / "twice.csv"
+    mfile.write_text("row,col,re,im\n0,0,0.5,0\n1,1,0.5,0\n0,0,0.25,0\n")
+    out = tmp_path / "out.csv"
+    assert run("compute", "--input", mfile, "--dim", 2, "--n", 4, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: matrix CSV gives entry (0, 0) more than once\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("method", ["c", "b", "direct"])
+def test_finite_input_with_a_non_finite_grid_is_an_error(tmp_path, capsys, method):
+    # Every entry is finite, yet the grid's sums overflow.
+    mfile = tmp_path / "huge.csv"
+    cells = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0)]
+    mfile.write_text("row,col,re,im\n" + "".join(f"{i},{j},1e308,0\n" for i, j in cells))
+    out = tmp_path / "out.csv"
+    assert run("compute", "--input", mfile, "--dim", 4, "--n", 8, "--method", method,
+               "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+    if method == "c":
+        assert run("deriv", "--variable", "grad", "--input", mfile, "--dim", 4, "--n", 8,
+                   "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not list(tmp_path.glob("out*"))
+
+
 def test_input_too_large_to_allocate_is_an_error_not_a_traceback(tmp_path, capsys):
     # d = 100000 asks for a 149 GiB matrix; should the allocation succeed
     # after all, the --dim mismatch fails the same way.

@@ -1017,3 +1017,48 @@ def test_method_c_keeps_its_k_builds_for_all_but_hermitian_rank_one_rho(monkeypa
         hermitian = np.array_equal(rho, rho.conj().T)
         assert len(calls) == (dim.two_j + 1 if hermitian else 2 * dim.two_j + 1), name
         assert set(calls) == {dim.d}, name  # every K_ell over all d levels
+
+
+def _glide_inputs(dim):
+    d = dim.d
+    rng = np.random.default_rng(d)
+    outer = np.zeros((d, d), dtype=complex)
+    outer[dim.index_of_m(dim.j - 1), dim.index_of_m(-dim.j + 3)] = 1.0  # |J, J-1><J, 3-J|
+    return {  # name: (rho, the method-c route it takes)
+        "random": (random_density(dim, d), "full"),
+        "general": (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)), "full"),
+        "ghz": (ghz(dim), "few-diagonal"),
+        "dicke": (dicke(dim, dim.j - 7), "few-diagonal"),
+        "outer": (outer, "few-diagonal"),
+        "coherent": (coherent(dim, 0.7, 1.9), "rank one"),
+        "squeezed": (squeezed(dim, 0.3), "rank one"),
+    }
+
+
+# Method d reads a cache of 540 MB at d = 257; its rows come from the same
+# _fill_table as the full build's, so it runs at d = 40 only.
+@pytest.mark.parametrize("d, s", [(d, s) for d in (40, 257) for s in (-1.0, 0.0, 0.5)])
+def test_every_route_keeps_the_glide_symmetry(d, s, tmp_path, monkeypatch):
+    # F[-ell, m] = (-1)^m F[ell, m] for any rho: the rank-one path's half
+    # spectrum rests on it.
+    dim = SpinDimension.from_d(d)
+    parity = build_parity(dim, s)
+    sign = (-1.0) ** np.abs(np.arange(1 - d, d))
+    taken = set()
+    for route, name in (("full", "_k_matrix"), ("few-diagonal", "_diagonal_product"),
+                        ("rank one", "_rank_one_table")):
+        def spied(*args, route=route, built=getattr(fourier, name)):
+            taken.add(route)
+            return built(*args)
+
+        monkeypatch.setattr(fourier, name, spied)
+    builds = {"c": lambda r: fourier_coefficients_method_c(r, parity)}
+    if d < 257:
+        cache = precompute_cache(dim, s, tmp_path)
+        builds["d"] = lambda r: fourier_coefficients_method_d(r, cache)
+    for name, (rho, route) in _glide_inputs(dim).items():
+        for method, build in builds.items():
+            taken.clear()
+            table = build(rho).coeffs
+            assert taken == ({route} if method == "c" else set()), (name, method)
+            _assert_matches_full_k(table[::-1] * sign, table, rho, parity, (name, method))

@@ -194,6 +194,18 @@ def test_rounding_bound_is_eps_times_the_norms_of_rho_and_the_kernel(d, s):
     assert rounding_bound(rho, dim, s) == pytest.approx(expected, rel=1e-12)
 
 
+def test_rounding_bound_is_finite_for_entries_whose_squares_overflow():
+    dim = SpinDimension.from_d(2)
+    kernel = np.linalg.norm(build_parity(dim, 0.0).diag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        bound = rounding_bound(np.diag([1e308, 1e308]).astype(complex), dim, 0.0)
+        assert bound == pytest.approx(np.finfo(float).eps * 1e308 * math.sqrt(2) * kernel,
+                                      rel=1e-12)
+        assert rounding_bound(np.full((2, 2), 1e308 + 1e308j), dim, 0.0) < np.inf
+        assert rounding_bound(np.zeros((2, 2), dtype=complex), dim, 0.0) == 0.0
+
+
 @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0])
 def test_a_perturbation_moves_values_by_at_most_its_norm_times_the_kernel_norm(s):
     # |f(delta)| <= ||delta||_F ||M_s||_F at every point, the inequality
